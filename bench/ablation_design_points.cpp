@@ -49,8 +49,15 @@ suiteGeomean(const SimConfig &cfg, const SampleParams &sp,
 int
 main(int argc, char **argv)
 {
+    SampleParams sp;
     BenchObs obs;
-    SampleParams sp = parseSampleArgs(argc, argv, {}, &obs);
+    FlagTable flags(argv[0], "Sensitivity of the results to the "
+                             "design parameters DESIGN.md calls out.");
+    addSampleFlags(flags, sp);
+    obs.addFlags(flags);
+    flags.parseOrExit(argc, argv);
+    sp.validate();
+
     sp.measureInsts = std::min<std::uint64_t>(sp.measureInsts, 50'000);
     ScopedTimer ablation_timer(obs.timings, "ablations");
 

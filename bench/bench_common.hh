@@ -9,13 +9,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
-#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ckpt/checkpoint_store.hh"
+#include "common/flags.hh"
 #include "common/log.hh"
 #include "common/thread_pool.hh"
 #include "core/core_factory.hh"
@@ -28,55 +29,75 @@
 
 namespace nda {
 
-/** Print the shared usage text plus any binary-specific flags. */
+/**
+ * Logging rows shared by every bench binary. Benches narrate via
+ * NDA_INFORM by default; -q/--quiet and -v/--verbose adjust.
+ */
 inline void
-printSampleUsage(const char *prog,
-                 std::initializer_list<const char *> extra_flags)
+addLogFlags(FlagTable &t)
 {
-    std::fprintf(stderr,
-                 "usage: %s [options]\n"
-                 "  --quick        1 sample, 10k warmup, 30k measured\n"
-                 "  --samples=N    independently-seeded samples per "
-                 "cell\n"
-                 "  --insts=N      measured instructions per window\n"
-                 "  --measure=N    alias for --insts=N\n"
-                 "  --warmup=N     detailed warm-up instructions per "
-                 "window\n"
-                 "  --fastforward=N\n"
-                 "                 functional fast-forward (with cache/"
-                 "predictor warming)\n"
-                 "                 before each window (default: 0)\n"
-                 "  --no-reuse     rebuild the fast-forward checkpoint "
-                 "for every window\n"
-                 "                 instead of sharing one per "
-                 "(workload, sample)\n"
-                 "  --chain        chained sampling: --fastforward "
-                 "becomes a stride and\n"
-                 "                 sample s measures offset (s+1) x "
-                 "stride of ONE run\n"
-                 "  --seed=N       base RNG seed (sample s uses "
-                 "seed+s)\n"
-                 "  --jobs=N       concurrent simulation windows "
-                 "(default: hardware threads; results are identical "
-                 "for any N)\n"
-                 "  --cpi-stack    attach the causal CPI-stack "
-                 "profiler to every measured\n"
-                 "                 window (per-cause slot attribution "
-                 "+ per-PC hotspots)\n"
-                 "  --stats-out=F  write a JSON run manifest (config, "
-                 "phase timings,\n"
-                 "                 full stats dump of one instrumented "
-                 "window)\n"
-                 "  --trace-out=F  write a pipeline trace of that "
-                 "window\n"
-                 "  --trace-format=chrome|konata|text\n"
-                 "                 trace renderer (default: chrome, "
-                 "Perfetto-loadable)\n"
-                 "  --quiet        warnings and results only\n"
-                 "  -v             verbose (debug-level) logging\n",
-                 prog);
-    for (const char *f : extra_flags)
-        std::fprintf(stderr, "  %s\n", f);
+    logVerbosity = std::max(logVerbosity, 1);
+    t.flag("-q,--quiet", "warnings and results only",
+           [] { logVerbosity = 0; });
+    t.flag("-v,--verbose", "verbose (debug-level) logging",
+           [] { logVerbosity = 2; });
+}
+
+/** The shared sampling rows, writing into `p` (whose jobs default
+ *  becomes the hardware thread count); `quick`, when given, also
+ *  records whether --quick was seen. */
+inline void
+addSampleFlags(FlagTable &t, SampleParams &p, bool *quick = nullptr)
+{
+    p.jobs = ThreadPool::defaultConcurrency();
+    t.flag("--quick", "1 sample, 10k warmup, 30k measured", [&p, quick] {
+        p.samples = 1;
+        p.warmupInsts = 10'000;
+        p.measureInsts = 30'000;
+        if (quick)
+            *quick = true;
+    });
+    t.number("--samples", "N", "independently-seeded samples per cell",
+             &p.samples);
+    t.number("--insts,--measure", "N",
+             "measured instructions per window", &p.measureInsts);
+    t.number("--warmup", "N",
+             "detailed warm-up instructions per window", &p.warmupInsts);
+    t.number("--fastforward", "N",
+             "functional fast-forward (with cache/predictor warming)\n"
+             "before each window (default: 0)",
+             &p.fastforwardInsts);
+    t.flag("--chain",
+           "chained sampling: --fastforward becomes a stride and\n"
+           "sample s measures offset (s+1) x stride of ONE run",
+           &p.chainSamples);
+    t.number("--seed", "N", "base RNG seed (sample s uses seed+s)",
+             &p.baseSeed);
+    t.number<unsigned>(
+        "--jobs", "N",
+        "concurrent simulation windows (default, or 0: hardware\n"
+        "threads; results are identical for any N)",
+        [&p](unsigned n) {
+            p.jobs = n ? n : ThreadPool::defaultConcurrency();
+        });
+    t.flag("--cpi-stack",
+           "attach the causal CPI-stack profiler to every measured\n"
+           "window (per-cause slot attribution + per-PC hotspots)",
+           &p.cpiStack);
+}
+
+/**
+ * The --mshr=N row of the grid and fuzzing benches: MSHR entries per
+ * L1 file on every simulated profile (DESIGN.md §13).
+ */
+inline void
+addMshrFlag(FlagTable &t, unsigned *entries)
+{
+    t.number("--mshr", "N",
+             "MSHR entries per L1 file (default 0: eager fills, the\n"
+             "OoO core keeps any number of misses in flight;\n"
+             "1: blocking; >= 2: at most N misses in flight)",
+             entries);
 }
 
 /**
@@ -94,30 +115,24 @@ struct BenchObs {
     bool wantTrace() const { return !traceOut.empty(); }
     bool enabled() const { return wantStats() || wantTrace(); }
 
-    /** Consume one argv token; false if it is not an obs flag. */
-    bool
-    parseArg(const std::string &arg, const char *prog)
+    /** Add the observability and logging rows. */
+    void
+    addFlags(FlagTable &t)
     {
-        if (arg.rfind("--stats-out=", 0) == 0) {
-            statsOut = arg.substr(12);
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            traceOut = arg.substr(12);
-        } else if (arg.rfind("--trace-format=", 0) == 0) {
-            if (!parseTraceFormat(arg.substr(15), traceFormat)) {
-                std::fprintf(stderr,
-                             "%s: unknown trace format in '%s' "
-                             "(expected chrome, konata, or text)\n",
-                             prog, arg.c_str());
-                std::exit(2);
-            }
-        } else if (arg == "--quiet" || arg == "-q") {
-            logVerbosity = 0;
-        } else if (arg == "-v" || arg == "--verbose") {
-            logVerbosity = 2;
-        } else {
-            return false;
-        }
-        return true;
+        std::vector<std::pair<std::string, TraceFormat>> formats;
+        for (TraceFormat f : {TraceFormat::kChrome, TraceFormat::kKonata,
+                              TraceFormat::kText})
+            formats.emplace_back(traceFormatName(f), f);
+        t.text("--stats-out", "F",
+               "write a JSON run manifest (config, phase timings,\n"
+               "full stats dump of one instrumented window)",
+               &statsOut);
+        t.text("--trace-out", "F", "write a pipeline trace of that window",
+               &traceOut);
+        t.choice("--trace-format", "chrome|konata|text",
+                 "trace renderer (default: chrome, Perfetto-loadable)",
+                 std::move(formats), &traceFormat);
+        addLogFlags(t);
     }
 };
 
@@ -144,96 +159,30 @@ struct BenchCkpt {
         return std::make_unique<CheckpointStore>(dir, maxBytes);
     }
 
-    /** Usage lines for printSampleUsage's `extra_flags`. */
-    static constexpr const char *kUsageDir =
-        "--ckpt-dir=DIR persistent checkpoint corpus (shared across "
-        "runs)";
-    static constexpr const char *kUsageMaxBytes =
-        "--ckpt-max-bytes=N\n"
-        "                 LRU size cap for the corpus (0 = unbounded)";
-    static constexpr const char *kUsageNoCkpt =
-        "--no-ckpt      ignore --ckpt-dir and run without a corpus";
-
-    /** Consume one argv token; false if it is not a corpus flag. */
-    bool
-    parseArg(const std::string &arg, const char *prog)
+    /** Add the corpus rows. */
+    void
+    addFlags(FlagTable &t)
     {
-        if (arg.rfind("--ckpt-dir=", 0) == 0) {
-            dir = arg.substr(11);
-            if (dir.empty()) {
-                std::fprintf(stderr, "%s: --ckpt-dir= needs a path\n",
-                             prog);
-                std::exit(2);
-            }
-        } else if (arg.rfind("--ckpt-max-bytes=", 0) == 0) {
-            const std::string value = arg.substr(17);
-            std::size_t consumed = 0;
-            unsigned long long n = 0;
-            try {
-                n = std::stoull(value, &consumed);
-            } catch (const std::exception &) {
-            }
-            if (value.empty() || consumed != value.size()) {
-                std::fprintf(stderr,
-                             "%s: invalid value in '%s' (expected a "
-                             "number of bytes)\n",
-                             prog, arg.c_str());
-                std::exit(2);
-            }
-            maxBytes = n;
-        } else if (arg == "--no-ckpt") {
-            disabled = true;
-        } else {
-            return false;
-        }
-        return true;
+        t.text("--ckpt-dir", "DIR",
+               "persistent checkpoint corpus (shared across runs)", &dir);
+        t.number("--ckpt-max-bytes", "N",
+                 "LRU size cap for the corpus (0 = unbounded)", &maxBytes);
+        t.flag("--no-ckpt", "ignore --ckpt-dir and run without a corpus",
+               &disabled);
     }
 };
 
 /**
- * Strict numeric parse for a binary-specific value flag, with the
- * same contract as the shared flags: malformed or empty values print
- * the usage text and exit 2 instead of throwing.
- */
-inline unsigned long long
-parseFlagNumber(const char *prog, const std::string &arg,
-                std::size_t prefix_len,
-                std::initializer_list<const char *> extra = {})
-{
-    const std::string value = arg.substr(prefix_len);
-    std::size_t consumed = 0;
-    unsigned long long n = 0;
-    try {
-        n = std::stoull(value, &consumed);
-    } catch (const std::exception &) {
-    }
-    if (value.empty() || consumed != value.size()) {
-        std::fprintf(stderr,
-                     "%s: invalid value in '%s' (expected a number)\n",
-                     prog, arg.c_str());
-        printSampleUsage(prog, extra);
-        std::exit(2);
-    }
-    return n;
-}
-
-/**
- * SMT co-residency knobs shared by the grid and attack benches:
- * --smt=N sets the hardware-thread count on every simulated core
- * (--smt=1 is an explicit single-thread run, bit-identical to the
- * default configs), --smt-policy=rr|icount picks the fetch
- * arbitration between the contexts.
+ * SMT co-residency knobs shared by the grid benches: --smt=N sets the
+ * hardware-thread count on every simulated core (--smt=1 is an
+ * explicit single-thread run, bit-identical to the default configs),
+ * --smt-policy=rr|icount picks the fetch arbitration between the
+ * contexts.
  */
 struct BenchSmt {
     unsigned threads = 0; ///< 0 = leave the configs untouched
     SmtFetchPolicy policy = SmtFetchPolicy::kRoundRobin;
     bool policySet = false;
-
-    static constexpr const char *kUsageSmt =
-        "--smt=N        hardware threads per core (1 = explicit "
-        "single-thread)";
-    static constexpr const char *kUsagePolicy =
-        "--smt-policy=P SMT fetch arbitration: rr (default) or icount";
 
     /** Apply the parsed knobs to one grid config (no-op when unset). */
     void
@@ -245,134 +194,24 @@ struct BenchSmt {
             cfg.core.smtFetchPolicy = policy;
     }
 
-    /** Consume one argv token; false if it is not an SMT flag. */
-    bool
-    parseArg(const std::string &arg, const char *prog)
+    /** Add the --smt and --smt-policy rows. */
+    void
+    addFlags(FlagTable &t)
     {
-        if (arg.rfind("--smt=", 0) == 0) {
-            threads =
-                static_cast<unsigned>(parseFlagNumber(prog, arg, 6));
-            if (threads == 0) {
-                std::fprintf(stderr,
-                             "%s: --smt= needs at least one thread\n",
-                             prog);
-                std::exit(2);
-            }
-        } else if (arg.rfind("--smt-policy=", 0) == 0) {
-            const std::string value = arg.substr(13);
-            if (value == "rr") {
-                policy = SmtFetchPolicy::kRoundRobin;
-            } else if (value == "icount") {
-                policy = SmtFetchPolicy::kIcount;
-            } else {
-                std::fprintf(stderr,
-                             "%s: unknown SMT fetch policy '%s' "
-                             "(expected rr or icount)\n",
-                             prog, value.c_str());
-                std::exit(2);
-            }
-            policySet = true;
-        } else {
-            return false;
-        }
-        return true;
+        t.number("--smt", "N",
+                 "hardware threads per core (1 = explicit single-thread)",
+                 &threads, 1);
+        t.choice<SmtFetchPolicy>(
+            "--smt-policy", "rr|icount",
+            "SMT fetch arbitration: rr (default) or icount",
+            {{"rr", SmtFetchPolicy::kRoundRobin},
+             {"icount", SmtFetchPolicy::kIcount}},
+            [this](SmtFetchPolicy p) {
+                policy = p;
+                policySet = true;
+            });
     }
 };
-
-/**
- * Parse the shared sampling flags from argv. Unrecognized arguments
- * abort with a usage message: a misspelled flag silently falling back
- * to defaults has burned enough measurement time already.
- *
- * Binary-specific options are declared via `extra`: entries ending in
- * '=' are matched as prefixes (value flags), others exactly; matches
- * are left for the caller to handle.
- */
-inline SampleParams
-parseSampleArgs(int argc, char **argv,
-                std::initializer_list<const char *> extra = {},
-                BenchObs *obs = nullptr, BenchCkpt *ckpt = nullptr,
-                BenchSmt *smt = nullptr)
-{
-    SampleParams p;
-    p.jobs = ThreadPool::defaultConcurrency();
-    // Benches narrate via NDA_INFORM by default; --quiet/-v adjust.
-    logVerbosity = std::max(logVerbosity, 1);
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (obs && obs->parseArg(arg, argv[0]))
-            continue;
-        if (ckpt && ckpt->parseArg(arg, argv[0]))
-            continue;
-        if (smt && smt->parseArg(arg, argv[0]))
-            continue;
-        const auto accepted = [&arg](const char *flag) {
-            const std::size_t len = std::strlen(flag);
-            return len > 0 && flag[len - 1] == '='
-                       ? arg.rfind(flag, 0) == 0
-                       : arg == flag;
-        };
-        // Numeric flag value, or usage + exit(2) on malformed input.
-        const auto number = [&](std::size_t prefix_len) {
-            const std::string value = arg.substr(prefix_len);
-            std::size_t consumed = 0;
-            unsigned long long n = 0;
-            try {
-                n = std::stoull(value, &consumed);
-            } catch (const std::exception &) {
-            }
-            if (value.empty() || consumed != value.size()) {
-                std::fprintf(stderr,
-                             "%s: invalid value in '%s' (expected a "
-                             "number)\n",
-                             argv[0], arg.c_str());
-                printSampleUsage(argv[0], extra);
-                std::exit(2);
-            }
-            return n;
-        };
-        if (arg == "--quick") {
-            p.samples = 1;
-            p.warmupInsts = 10'000;
-            p.measureInsts = 30'000;
-        } else if (arg.rfind("--samples=", 0) == 0) {
-            p.samples = static_cast<unsigned>(number(10));
-        } else if (arg.rfind("--insts=", 0) == 0) {
-            p.measureInsts = number(8);
-        } else if (arg.rfind("--measure=", 0) == 0) {
-            p.measureInsts = number(10);
-        } else if (arg.rfind("--warmup=", 0) == 0) {
-            p.warmupInsts = number(9);
-        } else if (arg.rfind("--fastforward=", 0) == 0) {
-            p.fastforwardInsts = number(14);
-        } else if (arg == "--no-reuse") {
-            p.reuseCheckpoints = false;
-        } else if (arg == "--chain") {
-            p.chainSamples = true;
-        } else if (arg == "--cpi-stack") {
-            p.cpiStack = true;
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            p.baseSeed = number(7);
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            p.jobs = static_cast<unsigned>(number(7));
-            if (p.jobs == 0)
-                p.jobs = ThreadPool::defaultConcurrency();
-        } else if (arg == "--help" || arg == "-h") {
-            printSampleUsage(argv[0], extra);
-            std::exit(0);
-        } else if (std::none_of(extra.begin(), extra.end(),
-                                accepted)) {
-            std::fprintf(stderr, "%s: unrecognized argument '%s'\n",
-                         argv[0], arg.c_str());
-            printSampleUsage(argv[0], extra);
-            std::exit(2);
-        }
-    }
-    // Reject degenerate parameter sets (e.g. --insts=0) up front,
-    // before any measurement time is spent.
-    p.validate();
-    return p;
-}
 
 /** `\r`-style progress meter for grid sweeps (stderr; silenced by
  *  --quiet). */
@@ -480,7 +319,6 @@ emitBenchObs(BenchObs &obs, const char *bench, Profile profile,
         m.set("warmup_insts", sp.warmupInsts);
         m.set("measure_insts", sp.measureInsts);
         m.set("jobs", static_cast<std::uint64_t>(sp.jobs));
-        m.set("reuse_checkpoints", sp.reuseCheckpoints);
         // Latency-distribution summaries of the instrumented window
         // (Fig 9d's dispatch-to-issue plus the two NDA residency
         // histograms) — the full distributions live under "stats".

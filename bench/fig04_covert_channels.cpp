@@ -45,8 +45,15 @@ printSeries(const char *channel, const AttackResult &r)
 int
 main(int argc, char **argv)
 {
+    SampleParams sp;
     BenchObs obs;
-    const SampleParams sp = parseSampleArgs(argc, argv, {}, &obs);
+    FlagTable flags(argv[0], "Figure 4: Spectre v1 guess timing "
+                             "through the cache and BTB channels.");
+    addSampleFlags(flags, sp);
+    obs.addFlags(flags);
+    flags.parseOrExit(argc, argv);
+    sp.validate();
+
     printBanner("Figure 4: Spectre v1 guess timing, cache vs BTB "
                 "covert channel (insecure OoO)");
     std::printf(

@@ -71,8 +71,15 @@ buildTimingProbe()
 int
 main(int argc, char **argv)
 {
+    SampleParams sp;
     BenchObs obs;
-    const SampleParams sp = parseSampleArgs(argc, argv, {}, &obs);
+    FlagTable flags(argv[0], "Figure 5: BTB misprediction recovery "
+                             "overhead.");
+    addSampleFlags(flags, sp);
+    obs.addFlags(flags);
+    flags.parseOrExit(argc, argv);
+    sp.validate();
+
     printBanner("Figure 5: BTB misprediction recovery overhead");
     std::printf("Paper reference: ~16 cycles for the BTB miss to "
                 "resolve,\nwrong-path to squash, and fetch to resume "

@@ -30,32 +30,34 @@ using namespace nda;
 int
 main(int argc, char **argv)
 {
+    SampleParams sp;
     BenchObs obs;
     BenchCkpt ckpt;
     BenchSmt smt;
-    SampleParams sp = parseSampleArgs(
-        argc, argv,
-        {"--csv=", "--mshr=", "--stack-csv=", "--stack-out=",
-         BenchSmt::kUsageSmt, BenchSmt::kUsagePolicy,
-         BenchCkpt::kUsageDir, BenchCkpt::kUsageMaxBytes,
-         BenchCkpt::kUsageNoCkpt},
-        &obs, &ckpt, &smt);
     std::string csv_path;
     std::string stack_csv_path;
     std::string stack_out_path;
     unsigned mshr_entries = 0;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--csv=", 0) == 0)
-            csv_path = arg.substr(6);
-        else if (arg.rfind("--stack-csv=", 0) == 0)
-            stack_csv_path = arg.substr(12);
-        else if (arg.rfind("--stack-out=", 0) == 0)
-            stack_out_path = arg.substr(12);
-        else if (arg.rfind("--mshr=", 0) == 0)
-            mshr_entries = static_cast<unsigned>(
-                parseFlagNumber(argv[0], arg, 7));
-    }
+    FlagTable flags(argv[0], "Figure 7: normalized CPI, all profiles x "
+                             "all workloads.");
+    addSampleFlags(flags, sp);
+    flags.text("--csv", "F", "write the normalized CPI table as CSV",
+               &csv_path);
+    addMshrFlag(flags, &mshr_entries);
+    flags.text("--stack-csv", "F",
+               "write per-cell CPI stacks as a tidy CSV\n"
+               "(implies --cpi-stack)",
+               &stack_csv_path);
+    flags.text("--stack-out", "F",
+               "write collapsed-stack hotspots for flamegraphs\n"
+               "(implies --cpi-stack)",
+               &stack_out_path);
+    smt.addFlags(flags);
+    ckpt.addFlags(flags);
+    obs.addFlags(flags);
+    flags.parseOrExit(argc, argv);
+    sp.validate();
+
     // The stack exports are meaningless without the profiler; asking
     // for one opts the grid in rather than silently emitting zeros.
     if ((!stack_csv_path.empty() || !stack_out_path.empty()) &&

@@ -22,11 +22,21 @@ using namespace nda;
 int
 main(int argc, char **argv)
 {
+    SampleParams sp;
     BenchObs obs;
-    BenchSmt smt;
-    const SampleParams sp = parseSampleArgs(
-        argc, argv, {BenchSmt::kUsageSmt}, &obs, nullptr, &smt);
-    const bool co_resident = smt.threads >= 2;
+    unsigned smt = 0;
+    FlagTable flags(argv[0], "Figure 8: Spectre v1 under NDA permissive "
+                             "propagation.");
+    addSampleFlags(flags, sp);
+    flags.number("--smt", "N",
+                 "hardware threads per core (>= 2 adds the\n"
+                 "co-resident channels)",
+                 &smt, 1);
+    obs.addFlags(flags);
+    flags.parseOrExit(argc, argv);
+    sp.validate();
+
+    const bool co_resident = smt >= 2;
     printBanner("Figure 8: Spectre v1 under NDA permissive propagation "
                 "(cache and BTB channels)");
     std::printf("Paper reference: the Fig 4 cycle differences are "

@@ -32,8 +32,15 @@ struct ProfileAgg {
 int
 main(int argc, char **argv)
 {
+    SampleParams sp;
     BenchObs obs;
-    const SampleParams sp = parseSampleArgs(argc, argv, {}, &obs);
+    FlagTable flags(argv[0], "Figure 9: cycle breakdown, MLP/ILP and "
+                             "NDA latency statistics.");
+    addSampleFlags(flags, sp);
+    obs.addFlags(flags);
+    flags.parseOrExit(argc, argv);
+    sp.validate();
+
     const auto workloads = makeAllWorkloads();
     const auto profiles = ndaProfiles();
 

@@ -15,10 +15,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hh"
@@ -30,90 +29,6 @@
 namespace {
 
 using namespace nda;
-
-void
-printUsage(const char *prog)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [options]\n"
-        "  --runs=N          seeds to test (default 100)\n"
-        "  --seed0=N         first seed (default 1)\n"
-        "  --jobs=N          parallel lanes (default: hardware "
-        "threads; results are identical for any N)\n"
-        "  --profile=NAME    restrict to one profile (repeatable; "
-        "default: all ten)\n"
-        "  --no-dift         skip DIFT taint comparison\n"
-        "  --no-invariants   detach the per-cycle invariant checker\n"
-        "  --mshr=N          MSHR entries per L1 file on every profile "
-        "(default 0\n"
-        "                    = legacy eager fills; 1 = blocking; >= 2 "
-        "= MLP)\n"
-        "  --minimize        shrink failing programs and write corpus "
-        "entries\n"
-        "  --corpus-dir=DIR  corpus output directory (default "
-        "tests/corpus)\n"
-        "  --inject=KIND     checker self-test; KIND is one of "
-        "freelist-leak,\n"
-        "                    double-free, early-wakeup, "
-        "rename-corrupt, rob-reorder,\n"
-        "                    mshr-dup-primary, mshr-ghost-target, "
-        "mshr-overflow,\n"
-        "                    mshr-stuck-fill, smt-rename-bleed\n"
-        "  --inject-seed=N   program seed for --inject (default 1)\n"
-        "  --inject-cycle=N  first cycle eligible for corruption "
-        "(default 2000)\n"
-        "  --stats-out=F     write a JSON run manifest (campaign "
-        "totals + one\n"
-        "                    instrumented window)\n"
-        "  --trace-out=F     write a pipeline trace of that window\n"
-        "  --trace-format=chrome|konata|text (default: chrome)\n"
-        "  --quiet           warnings and results only\n"
-        "  -v                verbose (debug-level) logging\n",
-        prog);
-}
-
-[[noreturn]] void
-usageError(const char *prog, const std::string &msg)
-{
-    std::fprintf(stderr, "%s: %s\n", prog, msg.c_str());
-    printUsage(prog);
-    std::exit(2);
-}
-
-std::uint64_t
-parseNumber(const char *prog, const std::string &arg,
-            std::size_t prefix_len)
-{
-    const std::string value = arg.substr(prefix_len);
-    std::size_t consumed = 0;
-    unsigned long long n = 0;
-    try {
-        n = std::stoull(value, &consumed);
-    } catch (const std::exception &) {
-    }
-    if (value.empty() || consumed != value.size())
-        usageError(prog, "invalid value in '" + arg +
-                             "' (expected a number)");
-    return n;
-}
-
-Profile
-parseProfile(const char *prog, const std::string &name)
-{
-    for (Profile p : allProfiles()) {
-        if (name == profileName(p))
-            return p;
-    }
-    std::string names;
-    for (Profile p : allProfiles()) {
-        if (!names.empty())
-            names += ", ";
-        names += std::string("'") + profileName(p) + "'";
-    }
-    usageError(prog, "unknown profile '" + name + "' (expected one of " +
-                         names + ")");
-}
 
 /** "still fails the same way" for campaign failures: the shrunk
  *  program must reproduce the same failure kind on the same profile
@@ -226,62 +141,73 @@ main(int argc, char **argv)
 {
     FuzzParams params;
     params.jobs = ThreadPool::defaultConcurrency();
-    logVerbosity = std::max(logVerbosity, 1);
     BenchObs obs;
     bool minimize = false;
     std::string corpus_dir = "tests/corpus";
-    bool inject = false;
     FuzzCorruption inject_kind = FuzzCorruption::kNone;
     std::uint64_t inject_seed = 1;
     Cycle inject_cycle = 2000;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (obs.parseArg(arg, argv[0])) {
-            continue;
-        } else if (arg.rfind("--runs=", 0) == 0) {
-            params.runs = parseNumber(argv[0], arg, 7);
-        } else if (arg.rfind("--seed0=", 0) == 0) {
-            params.seed0 = parseNumber(argv[0], arg, 8);
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            params.jobs =
-                static_cast<unsigned>(parseNumber(argv[0], arg, 7));
-            if (params.jobs == 0)
-                params.jobs = ThreadPool::defaultConcurrency();
-        } else if (arg.rfind("--profile=", 0) == 0) {
-            params.profiles.push_back(
-                parseProfile(argv[0], arg.substr(10)));
-        } else if (arg.rfind("--mshr=", 0) == 0) {
-            params.mshrEntries =
-                static_cast<unsigned>(parseNumber(argv[0], arg, 7));
-        } else if (arg == "--no-dift") {
-            params.compareTaint = false;
-        } else if (arg == "--no-invariants") {
-            params.checkInvariants = false;
-        } else if (arg == "--minimize") {
-            minimize = true;
-        } else if (arg.rfind("--corpus-dir=", 0) == 0) {
-            corpus_dir = arg.substr(13);
-        } else if (arg.rfind("--inject=", 0) == 0) {
-            inject = true;
-            inject_kind = fuzzCorruptionFromName(arg.substr(9));
-            if (inject_kind == FuzzCorruption::kNone) {
-                usageError(argv[0],
-                           "unknown corruption kind in '" + arg + "'");
-            }
-        } else if (arg.rfind("--inject-seed=", 0) == 0) {
-            inject_seed = parseNumber(argv[0], arg, 14);
-        } else if (arg.rfind("--inject-cycle=", 0) == 0) {
-            inject_cycle = parseNumber(argv[0], arg, 15);
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage(argv[0]);
-            return 0;
-        } else {
-            usageError(argv[0], "unrecognized argument '" + arg + "'");
-        }
+    std::vector<std::pair<std::string, Profile>> profiles;
+    for (Profile p : allProfiles())
+        profiles.emplace_back(profileName(p), p);
+    std::vector<std::pair<std::string, FuzzCorruption>> corruptions;
+    std::string corruption_names;
+    for (int k = 1;
+         k <= static_cast<int>(FuzzCorruption::kCrossThreadRenameBleed);
+         ++k) {
+        const auto kind = static_cast<FuzzCorruption>(k);
+        corruptions.emplace_back(fuzzCorruptionName(kind), kind);
+        corruption_names += (k % 3 == 1 ? "\n" : " ") +
+                            corruptions.back().first;
     }
 
-    if (inject) {
+    FlagTable flags(argv[0],
+                    "Differential fuzzing: interpreter vs every profile.\n"
+                    "Exit status: 0 clean, 1 failures found (or an "
+                    "injected corruption\nwent undetected), 2 usage "
+                    "error.");
+    flags.number("--runs", "N", "seeds to test (default 100)",
+                 &params.runs);
+    flags.number("--seed0", "N", "first seed (default 1)", &params.seed0);
+    flags.number<unsigned>(
+        "--jobs", "N",
+        "parallel lanes (default, or 0: hardware threads;\n"
+        "results are identical for any N)",
+        [&params](unsigned n) {
+            params.jobs = n ? n : ThreadPool::defaultConcurrency();
+        });
+    flags.choice<Profile>(
+        "--profile", "NAME",
+        "restrict to one profile, by its Fig 7 name (repeatable;\n"
+        "default: all ten)",
+        std::move(profiles),
+        [&params](Profile p) { params.profiles.push_back(p); });
+    flags.flag("--no-dift", "skip DIFT taint comparison",
+               [&params] { params.compareTaint = false; });
+    flags.flag("--no-invariants", "detach the per-cycle invariant checker",
+               [&params] { params.checkInvariants = false; });
+    addMshrFlag(flags, &params.mshrEntries);
+    flags.flag("--minimize",
+               "shrink failing programs and write corpus entries",
+               &minimize);
+    flags.text("--corpus-dir", "DIR",
+               "corpus output directory (default tests/corpus)",
+               &corpus_dir);
+    flags.choice("--inject", "KIND",
+                 "checker self-test: corrupt the pipeline and expect the\n"
+                 "matching invariant to fire; KIND is one of" +
+                     corruption_names,
+                 std::move(corruptions), &inject_kind);
+    flags.number("--inject-seed", "N",
+                 "program seed for --inject (default 1)", &inject_seed);
+    flags.number("--inject-cycle", "N",
+                 "first cycle eligible for corruption (default 2000)",
+                 &inject_cycle);
+    obs.addFlags(flags);
+    flags.parseOrExit(argc, argv);
+
+    if (inject_kind != FuzzCorruption::kNone) {
         const Profile profile = params.profiles.empty()
                                     ? Profile::kStrict
                                     : params.profiles.front();

@@ -39,25 +39,6 @@ using namespace nda;
 
 namespace {
 
-void
-printUsage(const char *prog)
-{
-    std::fprintf(
-        stderr,
-        "usage: %s [options]\n"
-        "  --socket=PATH        listen on a unix-domain socket "
-        "instead of stdin\n"
-        "  --ckpt-dir=DIR       persistent checkpoint corpus shared "
-        "across requests\n"
-        "  --ckpt-max-bytes=N   LRU size cap for the corpus "
-        "(0 = unbounded)\n"
-        "  --no-ckpt            run without a corpus even if "
-        "--ckpt-dir was given\n"
-        "  --quiet              warnings and results only\n"
-        "  -v                   verbose (debug-level) logging\n",
-        prog);
-}
-
 /** Serve one stream: parse request lines, write response lines. */
 void
 serveStream(GridService &service, std::FILE *in,
@@ -141,74 +122,22 @@ int
 main(int argc, char **argv)
 {
     std::string socket_path;
-    std::string ckpt_dir;
-    std::uint64_t ckpt_max_bytes = 0;
-    bool no_ckpt = false;
-    logVerbosity = std::max(logVerbosity, 1);
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const auto number = [&](std::size_t prefix_len) {
-            const std::string value = arg.substr(prefix_len);
-            std::size_t consumed = 0;
-            unsigned long long n = 0;
-            try {
-                n = std::stoull(value, &consumed);
-            } catch (const std::exception &) {
-            }
-            if (value.empty() || consumed != value.size()) {
-                std::fprintf(stderr,
-                             "%s: invalid value in '%s' (expected a "
-                             "number)\n",
-                             argv[0], arg.c_str());
-                printUsage(argv[0]);
-                std::exit(2);
-            }
-            return n;
-        };
-        if (arg.rfind("--socket=", 0) == 0) {
-            socket_path = arg.substr(9);
-            if (socket_path.empty()) {
-                std::fprintf(stderr, "%s: --socket= needs a path\n",
-                             argv[0]);
-                printUsage(argv[0]);
-                return 2;
-            }
-        } else if (arg.rfind("--ckpt-dir=", 0) == 0) {
-            ckpt_dir = arg.substr(11);
-            if (ckpt_dir.empty()) {
-                std::fprintf(stderr, "%s: --ckpt-dir= needs a path\n",
-                             argv[0]);
-                printUsage(argv[0]);
-                return 2;
-            }
-        } else if (arg.rfind("--ckpt-max-bytes=", 0) == 0) {
-            ckpt_max_bytes = number(17);
-        } else if (arg == "--no-ckpt") {
-            no_ckpt = true;
-        } else if (arg == "--quiet" || arg == "-q") {
-            logVerbosity = 0;
-        } else if (arg == "-v" || arg == "--verbose") {
-            logVerbosity = 2;
-        } else if (arg == "--help" || arg == "-h") {
-            printUsage(argv[0]);
-            return 0;
-        } else {
-            std::fprintf(stderr, "%s: unrecognized argument '%s'\n",
-                         argv[0], arg.c_str());
-            printUsage(argv[0]);
-            return 2;
-        }
-    }
+    BenchCkpt ckpt;
+    FlagTable flags(argv[0], "Grid server: JSON-line grid requests on "
+                             "stdin (or a unix socket),\nresult lines "
+                             "out (protocol: harness/grid_service.hh).");
+    flags.text("--socket", "PATH",
+               "listen on a unix-domain socket instead of stdin",
+               &socket_path);
+    ckpt.addFlags(flags);
+    addLogFlags(flags);
+    flags.parseOrExit(argc, argv);
 
     // A SIGPIPE from a vanished client must not kill the server; the
     // write loop already treats short writes as disconnect.
     std::signal(SIGPIPE, SIG_IGN);
 
-    std::unique_ptr<CheckpointStore> corpus;
-    if (!ckpt_dir.empty() && !no_ckpt)
-        corpus = std::make_unique<CheckpointStore>(ckpt_dir,
-                                                   ckpt_max_bytes);
+    const std::unique_ptr<CheckpointStore> corpus = ckpt.open();
     GridService service(corpus.get());
 
     if (!socket_path.empty())

@@ -18,7 +18,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -102,52 +101,42 @@ measureInterp(const std::vector<std::unique_ptr<Workload>> &workloads,
 int
 main(int argc, char **argv)
 {
+    SampleParams sp;
     BenchObs obs;
     BenchCkpt ckpt;
-    SampleParams sp = parseSampleArgs(
-        argc, argv,
-        {"--json=", "--stats-schema", "--engine=",
-         "--min-interp-mips=", BenchCkpt::kUsageDir,
-         BenchCkpt::kUsageMaxBytes, BenchCkpt::kUsageNoCkpt},
-        &obs, &ckpt);
-    std::string json_path = "BENCH_throughput.json";
-    std::string engine = "all";
-    double min_interp_mips = 0.0;
     bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--json=", 0) == 0)
-            json_path = arg.substr(7);
-        if (arg.rfind("--engine=", 0) == 0)
-            engine = arg.substr(9);
-        if (arg.rfind("--min-interp-mips=", 0) == 0) {
-            char *end = nullptr;
-            min_interp_mips = std::strtod(arg.c_str() + 18, &end);
-            if (end == arg.c_str() + 18 || *end != '\0' ||
-                min_interp_mips < 0.0) {
-                std::fprintf(stderr, "%s: bad --min-interp-mips value "
-                             "'%s'\n", argv[0], arg.c_str() + 18);
-                return 2;
-            }
-        }
-        if (arg == "--quick")
-            quick = true;
-        if (arg == "--stats-schema") {
-            // Print the canonical stat-name schema and exit; CI diffs
-            // this against tests/golden/stats_schema.txt.
-            for (const std::string &name : canonicalStatsSchema())
-                std::printf("%s\n", name.c_str());
-            return 0;
-        }
+    std::string json_path = "BENCH_throughput.json";
+    bool run_cores = true;
+    unsigned min_interp_mips = 0;
+    bool stats_schema = false;
+    FlagTable flags(argv[0], "Simulator throughput: KIPS per profile, "
+                             "interpreter MIPS,\nharness and corpus "
+                             "A/B.");
+    addSampleFlags(flags, sp, &quick);
+    flags.text("--json", "F",
+               "where to write the results\n"
+               "(default: BENCH_throughput.json)",
+               &json_path);
+    flags.choice<bool>("--engine", "all|interp",
+                       "measure every engine (default) or only the "
+                       "interpreter",
+                       {{"all", true}, {"interp", false}}, &run_cores);
+    flags.number("--min-interp-mips", "N",
+                 "exit 1 if the bare interpreter runs below N MIPS",
+                 &min_interp_mips);
+    flags.flag("--stats-schema",
+               "print the canonical stat-name schema and exit",
+               &stats_schema);
+    ckpt.addFlags(flags);
+    obs.addFlags(flags);
+    flags.parseOrExit(argc, argv);
+    sp.validate();
+    if (stats_schema) {
+        // CI diffs this against tests/golden/stats_schema.txt.
+        for (const std::string &name : canonicalStatsSchema())
+            std::printf("%s\n", name.c_str());
+        return 0;
     }
-    if (engine != "all" && engine != "interp") {
-        std::fprintf(stderr,
-                     "%s: unknown engine '%s' (expected all or "
-                     "interp)\n",
-                     argv[0], engine.c_str());
-        return 2;
-    }
-    const bool run_cores = engine == "all";
     // One window per (workload, profile): this measures host-side
     // simulation speed, not simulated statistics, so samples add
     // nothing but wall-clock.
@@ -195,13 +184,6 @@ main(int argc, char **argv)
     double grid_seconds = 0.0;
     std::uint64_t grid_insts = 0;
     double grid_kips = 0.0;
-    double legacy_seconds = 0.0;
-    double reuse_seconds = 0.0;
-    double reuse_speedup = 0.0;
-    GridStats legacy_stats;
-    GridStats reuse_stats;
-    SampleParams ab = sp;
-    std::size_t ab_workload_count = 0;
     std::vector<SimConfig> configs;
     // Warm-corpus A/B (chained sampling, persistent CheckpointStore).
     SampleParams corpus_ab = sp;
@@ -256,68 +238,23 @@ main(int argc, char **argv)
                     static_cast<unsigned long long>(grid_insts),
                     grid_seconds, grid_kips);
 
-        // Checkpoint-reuse A/B: the same multi-profile sweep with a
-        // dominant fast-forward, legacy (rebuild per window) vs shared
-        // checkpoints. Fixed at --jobs=2 so the comparison measures
-        // work eliminated, not how much idle hardware can hide the
-        // extra fast-forwards.
-        ab.fastforwardInsts = 500'000;
-        ab.warmupInsts = 2'000;
-        ab.measureInsts = 5'000;
-        ab.samples = 2;
-        ab.jobs = 2;
-        std::vector<std::unique_ptr<Workload>> ab_workloads;
-        ab_workloads.push_back(makeWorkload("compute"));
-        ab_workloads.push_back(makeWorkload("branchy"));
-        ab_workload_count = ab_workloads.size();
-
-        SampleParams ab_legacy = ab;
-        ab_legacy.reuseCheckpoints = false;
-        const auto legacy_t0 = Clock::now();
-        {
-            ScopedTimer t(obs.timings, "reuse-ab-legacy");
-            runGrid(ab_workloads, configs, ab_legacy, nullptr,
-                    &legacy_stats);
-        }
-        legacy_seconds = secondsSince(legacy_t0);
-
-        const auto reuse_t0 = Clock::now();
-        {
-            ScopedTimer t(obs.timings, "reuse-ab-reuse");
-            runGrid(ab_workloads, configs, ab, nullptr, &reuse_stats);
-        }
-        reuse_seconds = secondsSince(reuse_t0);
-        reuse_speedup = legacy_seconds / reuse_seconds;
-        std::printf("\nGrid checkpoint reuse (%zu workloads x %zu "
-                    "profiles x %u samples, %lluk ff insts, jobs=2):\n"
-                    "  legacy  %llu fast-forwards, %.2fs\n"
-                    "  reuse   %llu fast-forwards, %.2fs  (%.2fx, "
-                    "ff %.1f MIPS)\n",
-                    ab_workload_count, configs.size(), ab.samples,
-                    static_cast<unsigned long long>(
-                        ab.fastforwardInsts / 1000),
-                    static_cast<unsigned long long>(
-                        legacy_stats.ffRuns),
-                    legacy_seconds,
-                    static_cast<unsigned long long>(reuse_stats.ffRuns),
-                    reuse_seconds, reuse_speedup,
-                    reuse_stats.ffMips());
-
         // Warm-corpus A/B: the same chained sweep three times —
         // without a corpus, against a cold corpus (builds + publishes),
         // and against the now-warm corpus (pure loads). The chained
         // stride dominates wall-clock, so the warm run's speedup is
         // the checkpoint subsystem's whole value proposition in one
-        // number; the three result sets must be bit-identical.
-        corpus_ab = ab;
+        // number; the three result sets must be bit-identical. Fixed
+        // at jobs=2 so the comparison measures work eliminated, not
+        // how much idle hardware can hide the fast-forwards.
+        corpus_ab.jobs = 2;
         corpus_ab.chainSamples = true;
         corpus_ab.fastforwardInsts = quick ? 8'000'000 : 24'000'000;
         corpus_ab.warmupInsts = 500;
         corpus_ab.measureInsts = 1'000;
         corpus_ab.samples = 2;
-        std::vector<std::unique_ptr<Workload>> ab_workloads2;
-        ab_workloads2.push_back(makeWorkload("compute"));
-        ab_workloads2.push_back(makeWorkload("branchy"));
+        std::vector<std::unique_ptr<Workload>> ab_workloads;
+        ab_workloads.push_back(makeWorkload("compute"));
+        ab_workloads.push_back(makeWorkload("branchy"));
 
         const std::string corpus_dir =
             ckpt.wantCorpus() ? ckpt.dir : "nda_ckpt_ab_corpus";
@@ -328,7 +265,7 @@ main(int argc, char **argv)
         std::vector<RunResult> nocorpus_grid;
         {
             ScopedTimer t(obs.timings, "corpus-ab-nocorpus");
-            nocorpus_grid = runGrid(ab_workloads2, configs, corpus_ab,
+            nocorpus_grid = runGrid(ab_workloads, configs, corpus_ab,
                                     nullptr, &nocorpus_stats);
         }
         nocorpus_seconds = secondsSince(nocorpus_t0);
@@ -340,14 +277,14 @@ main(int argc, char **argv)
             const auto cold_t0 = Clock::now();
             {
                 ScopedTimer t(obs.timings, "corpus-ab-cold");
-                cold_grid = runGrid(ab_workloads2, configs, corpus_ab,
+                cold_grid = runGrid(ab_workloads, configs, corpus_ab,
                                     nullptr, &cold_stats, &corpus);
             }
             cold_seconds = secondsSince(cold_t0);
             const auto warm_t0 = Clock::now();
             {
                 ScopedTimer t(obs.timings, "corpus-ab-warm");
-                warm_grid = runGrid(ab_workloads2, configs, corpus_ab,
+                warm_grid = runGrid(ab_workloads, configs, corpus_ab,
                                     nullptr, &warm_stats, &corpus);
             }
             warm_seconds = secondsSince(warm_t0);
@@ -372,7 +309,7 @@ main(int argc, char **argv)
                     "  cold       %.2fs (%llu misses published)\n"
                     "  warm       %.2fs (%llu hits, %.2fx vs no "
                     "corpus)  results %s\n",
-                    ab_workloads2.size(), configs.size(),
+                    ab_workloads.size(), configs.size(),
                     corpus_ab.samples,
                     static_cast<unsigned long long>(
                         corpus_ab.fastforwardInsts / 1000),
@@ -401,7 +338,7 @@ main(int argc, char **argv)
                  "  \"measure_insts\": %llu,\n"
                  "  \"warmup_insts\": %llu,\n"
                  "  \"jobs\": %u,\n",
-                 engine.c_str(),
+                 run_cores ? "all" : "interp",
                  static_cast<unsigned long long>(sp.measureInsts),
                  static_cast<unsigned long long>(sp.warmupInsts),
                  sp.jobs);
@@ -451,21 +388,6 @@ main(int argc, char **argv)
                      grid_seconds, grid_kips);
         std::fprintf(
             json,
-            "  \"grid_checkpoint_reuse\": {\"workloads\": %zu, "
-            "\"profiles\": %zu, \"samples\": %u, "
-            "\"fastforward_insts\": %llu, \"jobs\": 2,\n"
-            "    \"legacy_ff_runs\": %llu, \"legacy_seconds\": "
-            "%.4f,\n"
-            "    \"reuse_ff_runs\": %llu, \"reuse_seconds\": "
-            "%.4f, \"speedup\": %.2f, \"ff_mips\": %.1f},\n",
-            ab_workload_count, configs.size(), ab.samples,
-            static_cast<unsigned long long>(ab.fastforwardInsts),
-            static_cast<unsigned long long>(legacy_stats.ffRuns),
-            legacy_seconds,
-            static_cast<unsigned long long>(reuse_stats.ffRuns),
-            reuse_seconds, reuse_speedup, reuse_stats.ffMips());
-        std::fprintf(
-            json,
             "  \"checkpoint_corpus\": {\"chained\": true, "
             "\"samples\": %u, \"stride_insts\": %llu, \"jobs\": %u,\n"
             "    \"nocorpus_seconds\": %.4f, \"cold_seconds\": %.4f, "
@@ -503,8 +425,7 @@ main(int argc, char **argv)
                      if (run_cores) {
                          m.set("harness_kips", grid_kips);
                          m.set("harness_insts", grid_insts);
-                         m.set("reuse_speedup", reuse_speedup);
-                         m.set("corpus_warm_speedup", warm_speedup);
+                             m.set("corpus_warm_speedup", warm_speedup);
                          m.set("corpus_bit_identical",
                                corpus_identical);
                          // Warm-run stats so the manifest's
@@ -517,11 +438,10 @@ main(int argc, char **argv)
                      }
                  });
 
-    if (min_interp_mips > 0.0 &&
-        interp_bare.mips() < min_interp_mips) {
+    if (interp_bare.mips() < min_interp_mips) {
         std::fprintf(stderr,
                      "FAIL: interpreter throughput %.1f MIPS is below "
-                     "the floor of %.1f MIPS\n",
+                     "the floor of %u MIPS\n",
                      interp_bare.mips(), min_interp_mips);
         return 1;
     }

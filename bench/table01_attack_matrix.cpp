@@ -53,17 +53,21 @@ main(int argc, char **argv)
     // attacks pick their own thread count in adjustConfig, so the flag
     // selects rows rather than reconfiguring cores.
     unsigned smt = 0;
+    SampleParams params;
     BenchObs obs;
-    const SampleParams params =
-        parseSampleArgs(argc, argv, {"--oracle", "--smt="}, &obs);
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--oracle")
-            oracle_strict = true;
-        else if (arg.rfind("--smt=", 0) == 0)
-            smt = static_cast<unsigned>(
-                parseFlagNumber(argv[0], arg, 6));
-    }
+    FlagTable flags(argv[0], "Table 1: attack taxonomy plus the "
+                             "empirical leak matrix.");
+    addSampleFlags(flags, params);
+    flags.flag("--oracle",
+               "exit 1 if the timing and DIFT-oracle verdicts disagree",
+               &oracle_strict);
+    flags.number("--smt", "N",
+                 "1: single-thread rows only; >= 2: cross-thread\n"
+                 "rows only",
+                 &smt);
+    obs.addFlags(flags);
+    flags.parseOrExit(argc, argv);
+    params.validate();
 
     printBanner("Table 1: attack taxonomy");
     {

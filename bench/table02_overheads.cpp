@@ -36,25 +36,27 @@ struct RowSpec {
 int
 main(int argc, char **argv)
 {
+    SampleParams sp;
     BenchObs obs;
     BenchCkpt ckpt;
     BenchSmt smt;
-    const SampleParams sp = parseSampleArgs(
-        argc, argv,
-        {"--csv=", "--mshr=", BenchSmt::kUsageSmt,
-         BenchSmt::kUsagePolicy, BenchCkpt::kUsageDir,
-         BenchCkpt::kUsageMaxBytes, BenchCkpt::kUsageNoCkpt},
-        &obs, &ckpt, &smt);
     std::string csv_path;
     unsigned mshr_entries = 0;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--csv=", 0) == 0)
-            csv_path = arg.substr(6);
-        else if (arg.rfind("--mshr=", 0) == 0)
-            mshr_entries = static_cast<unsigned>(
-                parseFlagNumber(argv[0], arg, 7));
-    }
+    FlagTable flags(argv[0], "Table 2: NDA propagation policies, the "
+                             "attacks they prevent,\nand their "
+                             "overhead.");
+    addSampleFlags(flags, sp);
+    flags.text("--csv", "F",
+               "write the overhead table as CSV (plus per-cause CPI\n"
+               "deltas with --cpi-stack)",
+               &csv_path);
+    addMshrFlag(flags, &mshr_entries);
+    smt.addFlags(flags);
+    ckpt.addFlags(flags);
+    obs.addFlags(flags);
+    flags.parseOrExit(argc, argv);
+    sp.validate();
+
     printBanner("Table 2: NDA propagation policies and the attacks "
                 "they prevent (" + std::to_string(sp.jobs) + " jobs)");
 

@@ -13,8 +13,15 @@ using namespace nda;
 int
 main(int argc, char **argv)
 {
+    SampleParams sp;
     BenchObs obs;
-    const SampleParams sp = parseSampleArgs(argc, argv, {}, &obs);
+    FlagTable flags(argv[0], "Table 3: the simulated machine "
+                             "configuration.");
+    addSampleFlags(flags, sp);
+    obs.addFlags(flags);
+    flags.parseOrExit(argc, argv);
+    sp.validate();
+
     printBanner("Table 3: simulation configuration");
     std::printf("%s\n", configTable(makeProfile(Profile::kOoo)).c_str());
     std::printf(

@@ -9,8 +9,8 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
+#include "common/flags.hh"
 #include "core/ooo_core.hh"
 #include "debug/pipe_trace.hh"
 #include "harness/profiles.hh"
@@ -21,11 +21,20 @@ using namespace nda;
 int
 main(int argc, char **argv)
 {
-    const std::string workload_name =
-        argc > 1 ? argv[1] : "gametree";
-    const int profile_idx = argc > 2 ? std::atoi(argv[2]) : 3; // Strict
-    const auto rows =
-        argc > 3 ? static_cast<std::size_t>(std::atoi(argv[3])) : 40;
+    std::string workload_name = "gametree";
+    unsigned profile_idx = 3; // Strict
+    std::size_t rows = 40;
+    FlagTable flags(argv[0], "Print the pipeline waterfall of a short "
+                             "traced run.");
+    flags.text("workload", "NAME", "kernel to trace (default: gametree)",
+               &workload_name);
+    flags.number("profile-index", "N",
+                 "Fig 7 column of the machine profile\n"
+                 "(default: 3 = Strict)",
+                 &profile_idx);
+    flags.number("rows", "N", "waterfall rows to print (default: 40)",
+                 &rows);
+    flags.parseOrExit(argc, argv);
 
     auto workload = makeWorkload(workload_name);
     if (!workload) {
@@ -33,8 +42,7 @@ main(int argc, char **argv)
                      workload_name.c_str());
         return 2;
     }
-    if (profile_idx < 0 ||
-        profile_idx >= static_cast<int>(Profile::kNumProfiles) ||
+    if (profile_idx >= static_cast<unsigned>(Profile::kNumProfiles) ||
         static_cast<Profile>(profile_idx) == Profile::kInOrder) {
         std::fprintf(stderr,
                      "profile index out of range (in-order core has "

@@ -16,9 +16,9 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
+#include "common/flags.hh"
 #include "harness/runner.hh"
 #include "harness/table_printer.hh"
 
@@ -32,38 +32,35 @@ main(int argc, char **argv)
     cfg.name = "custom";
     SampleParams sp;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) {
-            workload_name = arg;
-        } else if (arg == "--br") {
-            cfg.security.bypassRestriction = true;
-        } else if (arg == "--load-restriction") {
-            cfg.security.loadRestriction = true;
-        } else if (arg == "--inorder") {
-            cfg.inOrder = true;
-        } else if (arg.rfind("--propagation=", 0) == 0) {
-            const std::string v = arg.substr(14);
-            cfg.security.propagation =
-                v == "strict"       ? NdaPolicy::kStrict
-                : v == "permissive" ? NdaPolicy::kPermissive
-                                    : NdaPolicy::kNone;
-        } else if (arg.rfind("--invisispec=", 0) == 0) {
-            const std::string v = arg.substr(13);
-            cfg.security.invisiSpec =
-                v == "spectre"  ? InvisiSpecMode::kSpectre
-                : v == "future" ? InvisiSpecMode::kFuture
-                                : InvisiSpecMode::kOff;
-        } else if (arg.rfind("--bcast-delay=", 0) == 0) {
-            cfg.security.extraBroadcastDelay =
-                static_cast<unsigned>(std::stoul(arg.substr(14)));
-        } else if (arg.rfind("--insts=", 0) == 0) {
-            sp.measureInsts = std::stoull(arg.substr(8));
-        } else {
-            std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-            return 2;
-        }
-    }
+    FlagTable flags(argv[0], "Run one workload under any combination "
+                             "of NDA knobs.");
+    flags.text("workload", "NAME", "kernel to run (default: mixed)",
+               &workload_name);
+    flags.choice<NdaPolicy>("--propagation", "none|permissive|strict",
+                            "NDA propagation policy (default: none)",
+                            {{"none", NdaPolicy::kNone},
+                             {"permissive", NdaPolicy::kPermissive},
+                             {"strict", NdaPolicy::kStrict}},
+                            &cfg.security.propagation);
+    flags.flag("--br", "enable Bypass Restriction",
+               &cfg.security.bypassRestriction);
+    flags.flag("--load-restriction", "enable load restriction",
+               &cfg.security.loadRestriction);
+    flags.number("--bcast-delay", "N",
+                 "extra NDA broadcast latency in cycles (Fig 9e)",
+                 &cfg.security.extraBroadcastDelay);
+    flags.choice<InvisiSpecMode>("--invisispec", "off|spectre|future",
+                                 "InvisiSpec mode (default: off)",
+                                 {{"off", InvisiSpecMode::kOff},
+                                  {"spectre", InvisiSpecMode::kSpectre},
+                                  {"future", InvisiSpecMode::kFuture}},
+                                 &cfg.security.invisiSpec);
+    flags.flag("--inorder", "use the in-order baseline core",
+               &cfg.inOrder);
+    flags.number("--insts", "N", "measured instructions (default 100000)",
+                 &sp.measureInsts);
+    flags.parseOrExit(argc, argv);
+    sp.validate();
 
     auto workload = makeWorkload(workload_name);
     if (!workload) {

@@ -14,9 +14,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "attacks/attack_registry.hh"
+#include "common/flags.hh"
 #include "harness/profiles.hh"
 #include "harness/table_printer.hh"
 
@@ -25,11 +25,19 @@ using namespace nda;
 int
 main(int argc, char **argv)
 {
-    const std::string attack_name =
-        argc > 1 ? argv[1] : "spectre-v1-cache";
-    const int profile_idx = argc > 2 ? std::atoi(argv[2]) : 0;
-    const std::uint8_t secret =
-        argc > 3 ? static_cast<std::uint8_t>(std::atoi(argv[3])) : 0xA5;
+    std::string attack_name = "spectre-v1-cache";
+    unsigned profile_idx = 0;
+    std::uint8_t secret = 0xA5;
+    FlagTable flags(argv[0], "Run one attack PoC against one machine "
+                             "profile.");
+    flags.text("attack", "NAME", "attack to run (default: spectre-v1-cache)",
+               &attack_name);
+    flags.number("profile-index", "N",
+                 "Fig 7 column of the machine profile (default: 0 = OoO)",
+                 &profile_idx);
+    flags.number("secret", "N", "secret byte, 0-255 (default: 165)",
+                 &secret);
+    flags.parseOrExit(argc, argv);
 
     auto attack = makeAttack(attack_name);
     if (!attack) {
@@ -37,8 +45,7 @@ main(int argc, char **argv)
                      attack_name.c_str());
         return 2;
     }
-    if (profile_idx < 0 ||
-        profile_idx >= static_cast<int>(Profile::kNumProfiles)) {
+    if (profile_idx >= static_cast<unsigned>(Profile::kNumProfiles)) {
         std::fprintf(stderr, "profile index out of range\n");
         return 2;
     }

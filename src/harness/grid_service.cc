@@ -374,7 +374,6 @@ GridService::handleRequest(const std::string &request_line,
         p.jobs = static_cast<unsigned>(u64Field(req, "jobs", 0));
         if (p.jobs == 0)
             p.jobs = ThreadPool::defaultConcurrency();
-        p.reuseCheckpoints = boolField(req, "reuse", true);
         p.chainSamples = boolField(req, "chain", false);
         p.cpiStack = boolField(req, "cpi_stack", false);
 

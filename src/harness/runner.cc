@@ -69,8 +69,8 @@ GridStats::registerStats(StatsRegistry &reg,
     g.counter("ff_insts", &ffInsts,
               "functional fast-forward instructions executed");
     g.counter("ff_runs", &ffRuns,
-              "fast-forwards executed (W*S with reuse, up to W*S*P "
-              "without)");
+              "fast-forwards executed (W*S shared, plus one per "
+              "window whose geometry differs)");
     g.counter("checkpoint_restores", &checkpointRestores,
               "warming checkpoints restored into cores");
     g.counter("detailed_warmup_insts", &detailedWarmupInsts,
@@ -322,8 +322,8 @@ runGrid(const std::vector<const Workload *> &workloads,
     // given, replaces builds with loads wherever it already holds the
     // (workload, seed, ff, geometry) entry.
     std::vector<SimSnapshot> checkpoints;
-    const bool share = p.reuseCheckpoints && p.fastforwardInsts > 0 &&
-                       !configs.empty() && !workloads.empty();
+    const bool share = p.fastforwardInsts > 0 && !configs.empty() &&
+                       !workloads.empty();
     if (share) {
         ScopedTimer t(timings, "fast_forward");
         const std::size_t n_ckpts = workloads.size() * p.samples;

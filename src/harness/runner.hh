@@ -15,16 +15,15 @@
  *
  * Fast-forwarding is where a profile sweep burns almost all of its
  * functional work, and the functional prefix of a sample does not
- * depend on the profile being measured. With checkpoint reuse
- * (SampleParams::reuseCheckpoints, the default) the grid therefore
+ * depend on the profile being measured. The grid therefore
  * fast-forwards each (workload, sample) ONCE, snapshots the machine
  * (core/snapshot.hh), and restores that snapshot into every profile's
  * core — turning W×S×P functional prefixes into W×S. Profiles whose
  * cache/predictor geometry differs from the snapshot's fall back to a
- * per-window fast-forward, which is also exactly what
- * reuseCheckpoints = false does for every window; both paths build
- * checkpoints with the same deterministic procedure, so reuse on/off
- * is bit-identical by construction.
+ * per-window fast-forward, which is exactly what runWindow does
+ * without a checkpoint; both paths build checkpoints with the same
+ * deterministic procedure, so sharing is bit-identical to a
+ * per-window rebuild by construction (tests compare the two).
  *
  * Two orthogonal extensions cut the fast-forward bill further.
  * SampleParams::chainSamples places the S samples at offsets s x
@@ -72,12 +71,6 @@ struct SampleParams {
     std::uint64_t baseSeed = 1;
     /** Concurrent simulation windows; 1 = fully serial (no pool). */
     unsigned jobs = 1;
-    /**
-     * Share one fast-forward checkpoint per (workload, sample) across
-     * all profiles of a grid. Off = rebuild per window (the legacy
-     * path; bit-identical results, more functional work).
-     */
-    bool reuseCheckpoints = true;
     /**
      * SMARTS-proper chained sampling: instead of S independently-
      * seeded programs each fast-forwarded `fastforwardInsts`, run ONE
@@ -220,8 +213,8 @@ RunResult runSampled(const Workload &workload, const SimConfig &cfg,
 
 /**
  * Sweep a full workload x config grid in three phases: build one
- * checkpoint per (workload, sample) — shared across profiles when
- * p.reuseCheckpoints — then dispatch every (cell, sample) window to a
+ * checkpoint per (workload, sample), shared across profiles, then
+ * dispatch every (cell, sample) window to a
  * pool of `p.jobs` lanes. Cell results are returned in row-major
  * order: result[w * configs.size() + c].
  *
@@ -241,9 +234,7 @@ RunResult runSampled(const Workload &workload, const SimConfig &cfg,
  * every later run sharing the directory. Results are bit-identical
  * with or without a corpus, warm or cold: deserialization is exact
  * (`SimSnapshot::operator==`), so a loaded checkpoint is
- * indistinguishable from a rebuilt one. The corpus only participates
- * when reuseCheckpoints is on (the legacy per-window path never
- * touches it).
+ * indistinguishable from a rebuilt one.
  */
 std::vector<RunResult>
 runGrid(const std::vector<const Workload *> &workloads,

@@ -25,6 +25,7 @@
 #include "core/snapshot.hh"
 #include "dift/secret_map.hh"
 #include "dift/taint_engine.hh"
+#include "grid_reference.hh"
 #include "harness/profiles.hh"
 #include "harness/runner.hh"
 #include "isa/interpreter.hh"
@@ -652,14 +653,11 @@ TEST(ChainedGrid, SharedChainsEqualPerWindowRebuildsWithLessWork)
         makeProfile(Profile::kInOrder)};
 
     const SampleParams shared = chainedParams();
-    SampleParams rebuild = chainedParams();
-    rebuild.reuseCheckpoints = false;
 
     GridStats shared_stats, rebuild_stats;
     const auto a =
         runGrid(ws, configs, shared, nullptr, &shared_stats);
-    const auto b =
-        runGrid(ws, configs, rebuild, nullptr, &rebuild_stats);
+    const auto b = perWindowGrid(ws, configs, shared, &rebuild_stats);
     expectIdentical(a, b);
 
     // One chain per workload: W*S builds whose *total* functional

@@ -1,10 +1,16 @@
 /**
  * @file
- * Unit tests for common utilities: PRNG, statistics, histogram.
+ * Unit tests for common utilities: PRNG, statistics, histogram, and
+ * the command-line flag table.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/flags.hh"
 #include "common/histogram.hh"
 #include "common/stats_util.hh"
 #include "common/xrandom.hh"
@@ -194,6 +200,165 @@ TEST(Histogram, ResetClears)
     h.reset();
     EXPECT_EQ(h.count(), 0u);
     EXPECT_DOUBLE_EQ(h.mean(), 0.0);
+}
+
+// --------------------------------------------------------------------------
+// FlagTable
+// --------------------------------------------------------------------------
+
+/** parse() over `args` as if they followed a program name. */
+std::string
+parseArgs(FlagTable &t, std::vector<const char *> args)
+{
+    args.insert(args.begin(), "prog");
+    return t.parse(static_cast<int>(args.size()), args.data());
+}
+
+TEST(FlagTable, FillsEveryKindOfDestination)
+{
+    bool quick = false;
+    std::uint64_t insts = 0;
+    std::string csv;
+    int mode = 0;
+    std::string workload;
+    FlagTable t("prog");
+    t.flag("--quick", "switch", &quick);
+    t.number("--insts", "N", "number", &insts);
+    t.text("--csv", "F", "string", &csv);
+    t.choice<int>("--mode", "a|b", "choice", {{"a", 1}, {"b", 2}}, &mode);
+    t.text("workload", "NAME", "positional", &workload);
+    EXPECT_EQ(parseArgs(t, {"--quick", "--insts=12", "--csv=out.csv",
+                            "--mode=b", "stream"}),
+              "");
+    EXPECT_TRUE(quick);
+    EXPECT_EQ(insts, 12u);
+    EXPECT_EQ(csv, "out.csv");
+    EXPECT_EQ(mode, 2);
+    EXPECT_EQ(workload, "stream");
+    EXPECT_FALSE(t.helpRequested());
+}
+
+TEST(FlagTable, NumbersAreDigitsOnlyAndFitTheirType)
+{
+    for (const char *bad : {"-1", " 7", "7 ", "+3", "", "1x", "0x10",
+                            "18446744073709551616"}) {
+        std::uint64_t n = 5;
+        FlagTable t("prog");
+        t.number("--n", "N", "number", &n);
+        const std::string arg = std::string("--n=") + bad;
+        EXPECT_NE(parseArgs(t, {arg.c_str()}), "") << arg;
+        EXPECT_EQ(n, 5u) << arg;
+    }
+    unsigned jobs = 0;
+    std::uint64_t wide = 0;
+    std::uint8_t byte = 0;
+    FlagTable t("prog");
+    t.number("--jobs", "N", "unsigned", &jobs);
+    t.number("--wide", "N", "64-bit", &wide);
+    t.number("--byte", "N", "8-bit", &byte);
+    EXPECT_NE(parseArgs(t, {"--jobs=4294967296"}), "");
+    EXPECT_NE(parseArgs(t, {"--byte=256"}), "");
+    EXPECT_EQ(parseArgs(t, {"--jobs=4294967295",
+                            "--wide=18446744073709551615", "--byte=255"}),
+              "");
+    EXPECT_EQ(jobs, 4294967295u);
+    EXPECT_EQ(wide, 18446744073709551615ull);
+    EXPECT_EQ(byte, 255u);
+}
+
+TEST(FlagTable, NumberRowEnforcesItsMinimum)
+{
+    unsigned smt = 0;
+    FlagTable t("prog");
+    t.number("--smt", "N", "threads", &smt, 1);
+    EXPECT_NE(parseArgs(t, {"--smt=0"}), "");
+    EXPECT_EQ(parseArgs(t, {"--smt=2"}), "");
+    EXPECT_EQ(smt, 2u);
+}
+
+TEST(FlagTable, RejectsEmptyStringsAndMisplacedValues)
+{
+    bool quick = false;
+    std::string csv = "keep";
+    FlagTable t("prog");
+    t.flag("--quick", "switch", &quick);
+    t.text("--csv", "F", "string", &csv);
+    EXPECT_NE(parseArgs(t, {"--csv="}), "");
+    EXPECT_EQ(csv, "keep");
+    EXPECT_NE(parseArgs(t, {"--csv"}), "");
+    EXPECT_NE(parseArgs(t, {"--quick=1"}), "");
+    EXPECT_FALSE(quick);
+}
+
+TEST(FlagTable, AliasesShareOneRow)
+{
+    std::uint64_t insts = 0;
+    bool quiet = false;
+    FlagTable t("prog");
+    t.number("--insts,--measure", "N", "measured instructions", &insts);
+    t.flag("-q,--quiet", "quiet", &quiet);
+    EXPECT_EQ(parseArgs(t, {"--measure=7", "-q"}), "");
+    EXPECT_EQ(insts, 7u);
+    EXPECT_TRUE(quiet);
+    EXPECT_EQ(parseArgs(t, {"--insts=9"}), "");
+    EXPECT_EQ(insts, 9u);
+}
+
+TEST(FlagTable, UnknownChoiceListsTheAcceptedNames)
+{
+    int mode = 0;
+    FlagTable t("prog");
+    t.choice<int>("--mode", "a|b", "choice", {{"a", 1}, {"b", 2}}, &mode);
+    const std::string err = parseArgs(t, {"--mode=c"});
+    EXPECT_NE(err.find("'a', 'b'"), std::string::npos) << err;
+    EXPECT_EQ(mode, 0);
+}
+
+TEST(FlagTable, RejectsUnknownFlagsAndSurplusArguments)
+{
+    std::string workload;
+    FlagTable t("prog");
+    t.text("workload", "NAME", "positional", &workload);
+    EXPECT_NE(parseArgs(t, {"--bogus"}), "");
+    EXPECT_NE(parseArgs(t, {"-x"}), "");
+    FlagTable u("prog");
+    u.text("workload", "NAME", "positional", &workload);
+    EXPECT_NE(parseArgs(u, {"one", "two"}), "");
+    FlagTable none("prog");
+    EXPECT_NE(parseArgs(none, {"stray"}), "");
+}
+
+TEST(FlagTable, HelpStopsParsing)
+{
+    FlagTable t("prog");
+    EXPECT_EQ(parseArgs(t, {"--help", "--bogus"}), "");
+    EXPECT_TRUE(t.helpRequested());
+    FlagTable u("prog");
+    EXPECT_EQ(parseArgs(u, {"-h"}), "");
+    EXPECT_TRUE(u.helpRequested());
+}
+
+TEST(FlagTable, UsageListsEveryRow)
+{
+    bool b = false;
+    unsigned n = 0;
+    std::string s;
+    int c = 0;
+    FlagTable t("prog", "What prog does.");
+    t.flag("-q,--quiet", "be quiet", &b);
+    t.number("--runs", "N", "how many runs", &n);
+    t.text("--csv", "F", "where the CSV goes\nsecond help line", &s);
+    t.choice<int>("--mode", "a|b", "pick a mode", {{"a", 1}, {"b", 2}},
+                  &c);
+    t.text("workload", "NAME", "kernel to run", &s);
+    const std::string u = t.usage();
+    for (const char *want :
+         {"usage: prog [options] [workload]", "What prog does.",
+          "-h, --help", "-q, --quiet", "be quiet", "--runs=N",
+          "how many runs", "--csv=F", "where the CSV goes",
+          "second help line", "--mode=a|b", "pick a mode", "workload",
+          "kernel to run"})
+        EXPECT_NE(u.find(want), std::string::npos) << want << "\n" << u;
 }
 
 } // namespace

@@ -5,9 +5,10 @@
  * from a mid-run snapshot must be bit-identical to the uninterrupted
  * run, for the architectural state, the DIFT taint travelling with
  * it, and the structural warming state (cache tags, predictor
- * tables). On top of that, the grid harness's checkpoint-reuse path
- * must produce results exactly equal to the legacy rebuild-per-window
- * path while doing measurably less functional work.
+ * tables). On top of that, the grid harness's shared checkpoints
+ * must produce results exactly equal to the rebuild-per-window
+ * reference (grid_reference.hh) while doing measurably less
+ * functional work.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "core/snapshot.hh"
 #include "dift/secret_map.hh"
 #include "dift/taint_engine.hh"
+#include "grid_reference.hh"
 #include "harness/profiles.hh"
 #include "harness/runner.hh"
 #include "isa/interpreter.hh"
@@ -191,7 +193,8 @@ TEST(ArchStateSnapshot, StructuralCompatibilityGatesGeometryOnly)
 }
 
 // --------------------------------------------------------------------------
-// Grid harness: checkpoint reuse == legacy, with less functional work
+// Grid harness: shared checkpoints == per-window rebuilds, with less
+// functional work
 // --------------------------------------------------------------------------
 
 void
@@ -240,12 +243,10 @@ TEST(CheckpointReuse, GridEqualsLegacyAndDoesLessWork)
         makeProfile(Profile::kInOrder), small};
 
     const SampleParams reuse = gridParams();
-    SampleParams legacy = gridParams();
-    legacy.reuseCheckpoints = false;
 
     GridStats reuse_stats, legacy_stats;
     const auto a = runGrid(ws, configs, reuse, nullptr, &reuse_stats);
-    const auto b = runGrid(ws, configs, legacy, nullptr, &legacy_stats);
+    const auto b = perWindowGrid(ws, configs, reuse, &legacy_stats);
 
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
@@ -258,9 +259,9 @@ TEST(CheckpointReuse, GridEqualsLegacyAndDoesLessWork)
     EXPECT_EQ(reuse_stats.checkpointRestores, windows);
     EXPECT_EQ(legacy_stats.checkpointRestores, windows);
 
-    // Reuse: one shared fast-forward per (workload, sample), plus a
-    // per-window fallback for the one incompatible config. Legacy:
-    // one per window.
+    // runGrid: one shared fast-forward per (workload, sample), plus a
+    // per-window fallback for the one incompatible config. The
+    // reference: one per window.
     EXPECT_EQ(reuse_stats.ffRuns, w_s + w_s);
     EXPECT_EQ(legacy_stats.ffRuns, windows);
     EXPECT_LT(reuse_stats.ffInsts, legacy_stats.ffInsts);
@@ -351,8 +352,8 @@ TEST(MshrSnapshot, InOrderMidStallSaveRoundTripsBitExact)
 
 TEST(MshrCheckpointReuse, GridWithMshrEqualsLegacy)
 {
-    // The PR-7 reuse machinery must be oblivious to the MSHR knob:
-    // reuse and rebuild-per-window grids stay bit-identical with
+    // Checkpoint sharing must be oblivious to the MSHR knob: shared
+    // and rebuild-per-window grids stay bit-identical with
     // non-blocking caches on.
     std::vector<std::unique_ptr<Workload>> ws;
     ws.push_back(makeWorkload("crc"));
@@ -362,12 +363,8 @@ TEST(MshrCheckpointReuse, GridWithMshrEqualsLegacy)
     for (SimConfig &cfg : configs)
         cfg.memory.mshrEntries = 4;
 
-    const SampleParams reuse = gridParams();
-    SampleParams legacy = gridParams();
-    legacy.reuseCheckpoints = false;
-
-    const auto a = runGrid(ws, configs, reuse);
-    const auto b = runGrid(ws, configs, legacy);
+    const auto a = runGrid(ws, configs, gridParams());
+    const auto b = perWindowGrid(ws, configs, gridParams());
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t i = 0; i < a.size(); ++i)
         expectIdentical(a[i], b[i]);
