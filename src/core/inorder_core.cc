@@ -3,7 +3,6 @@
 #include "common/log.hh"
 #include "core/snapshot.hh"
 #include "dift/taint_engine.hh"
-#include "isa/interpreter.hh"
 #include "obs/cpi_stack.hh"
 
 namespace nda {
@@ -22,35 +21,36 @@ stallSlotCause(CycleClass cls)
     }
 }
 
+/** Register-writing ALU ops (the evalAlu set): they pay an execute
+ *  latency on top of the fetch. */
+bool
+isAluOp(Opcode op)
+{
+    return op >= Opcode::kMovImm && op <= Opcode::kCmpLtu;
+}
+
 } // namespace
 
 InOrderCore::InOrderCore(Program prog, const SimConfig &cfg)
-    : prog_(std::move(prog)), cfg_(cfg), hier_(cfg.memory)
+    : interp_(std::move(prog)), hier_(cfg.memory)
 {
-    loadDataSegments(prog_, mem_);
-    for (int i = 0; i < kNumArchRegs; ++i)
-        regs_[i] = prog_.initialRegs[i];
-    for (int i = 0; i < kNumMsrRegs; ++i)
-        msrs_[i] = prog_.initialMsrs[i];
-    pc_ = prog_.entry;
 }
 
 void
 InOrderCore::tick()
 {
-    if (halted_)
+    if (interp_.halted())
         return;
     ++cycle_;
     ++counters_.cycles;
     // MSHR mode: fills land while the core is stalled on them, so
-    // mshrEntries = 1 reproduces the legacy blocking numbers. The +1
-    // matches the legacy charging convention: a miss charged `lat` at
+    // mshrEntries = 1 reproduces the eager blocking numbers. The +1
+    // matches the eager charging convention: a miss charged `lat` at
     // cycle c overlaps its commit cycle (cost += lat - 1), so the
     // next access to that line happens at c + lat - 1 and must see
     // the fill scheduled for c + lat — drain everything due by the
     // END of this cycle.
-    if (hier_.mshrEnabled())
-        hier_.advance(cycle_ + 1);
+    hier_.advance(cycle_ + 1);
     if (cycle_ < busyUntil_) {
         ++counters_.cycleClass[static_cast<int>(stallClass_)];
         if (cpiStack_) {
@@ -60,8 +60,8 @@ InOrderCore::tick()
         }
         return;
     }
-    const Addr inst_pc = pc_;
-    const std::uint64_t before = committed_;
+    const Addr inst_pc = interp_.pc();
+    const std::uint64_t before = interp_.instCount();
     const Cycle cost = step();
     busyUntil_ = cycle_ + cost;
     stallPc_ = inst_pc; // subsequent stall cycles pay for this inst
@@ -70,8 +70,9 @@ InOrderCore::tick()
         cpiStack_->onCycle();
         // The halting edge (invalid PC) retires nothing — its one
         // slot is a window artifact, not a stall.
-        cpiStack_->addSlots(committed_ > before ? StallCause::kCommit
-                                                : StallCause::kIdle,
+        cpiStack_->addSlots(interp_.instCount() > before
+                                ? StallCause::kCommit
+                                : StallCause::kIdle,
                             1, inst_pc);
     }
 }
@@ -79,10 +80,14 @@ InOrderCore::tick()
 void
 InOrderCore::run(std::uint64_t max_insts, Cycle max_cycles)
 {
-    const std::uint64_t target = committed_ + max_insts;
+    const std::uint64_t committed = interp_.instCount();
+    const std::uint64_t target =
+        max_insts > ~std::uint64_t{0} - committed ? ~std::uint64_t{0}
+                                                  : committed + max_insts;
     const Cycle limit =
         max_cycles == ~Cycle{0} ? ~Cycle{0} : cycle_ + max_cycles;
-    while (!halted_ && committed_ < target && cycle_ < limit)
+    while (!interp_.halted() && interp_.instCount() < target &&
+           cycle_ < limit)
         tick();
 }
 
@@ -96,23 +101,11 @@ void
 InOrderCore::saveCheckpoint(SimSnapshot &out) const
 {
     out = SimSnapshot{};
-    ArchState &arch = out.arch;
-    for (int i = 0; i < kNumArchRegs; ++i)
-        arch.regs[i] = regs_[i];
-    for (int i = 0; i < kNumMsrRegs; ++i)
-        arch.msrs[i] = msrs_[i];
-    arch.pc = pc_;
-    arch.halted = halted_;
-    arch.instCount = committed_;
-    arch.faultCount = counters_.faults;
-    arch.lastFetchLine = lastFetchLine_;
-    arch.mem = mem_;
-    if (dift_)
-        arch.captureTaint(*dift_);
-
+    out.arch = interp_.save();
+    out.arch.lastFetchLine = lastFetchLine_;
     out.hasMem = true;
     out.mem = hier_.save();
-    out.memParams = cfg_.memory;
+    out.memParams = hier_.params();
     // No predictor: this core never speculates.
 }
 
@@ -121,193 +114,83 @@ InOrderCore::restoreCheckpoint(const SimSnapshot &snap)
 {
     NDA_ASSERT(cycle_ == 0,
                "checkpoints restore into freshly constructed cores");
-    const ArchState &arch = snap.arch;
-    for (int i = 0; i < kNumArchRegs; ++i)
-        regs_[i] = arch.regs[i];
-    for (int i = 0; i < kNumMsrRegs; ++i)
-        msrs_[i] = arch.msrs[i];
-    pc_ = arch.pc;
-    halted_ = arch.halted;
-    committed_ = arch.instCount;
-    counters_.faults = arch.faultCount;
-    lastFetchLine_ = arch.lastFetchLine;
-    mem_ = arch.mem;
-    if (dift_)
-        arch.applyTaint(*dift_);
+    interp_.restore(snap.arch);
+    lastFetchLine_ = snap.arch.lastFetchLine;
     if (snap.hasMem)
         hier_.restore(snap.mem);
-}
-
-AccessResult
-InOrderCore::dataTiming(Addr addr, MshrTargetKind kind)
-{
-    if (!hier_.mshrEnabled())
-        return hier_.dataAccess(addr);
-    // Blocking semantics through the non-blocking plumbing: the stall
-    // covers the fill latency, so at most this one data miss (plus the
-    // step's own fetch miss) is ever in flight and rejection cannot
-    // happen. seq carries the commit index; nothing here squashes.
-    const MemRequestResult req = hier_.dataRequest(
-        addr, cycle_, static_cast<InstSeqNum>(committed_), kind);
-    NDA_ASSERT(!req.rejected(),
-               "blocking core overflowed the D-side MSHR file");
-    return AccessResult{req.latency, req.level};
 }
 
 Cycle
 InOrderCore::step()
 {
-    if (!prog_.validPc(pc_)) {
-        halted_ = true;
+    const Program &prog = interp_.program();
+    const Addr pc = interp_.pc();
+    if (!prog.validPc(pc)) {
+        interp_.step(); // halts: the pc left the program
         return 0;
     }
-    const MicroOp &uop = prog_.at(pc_);
+    const MicroOp &uop = prog.at(pc);
     const OpTraits &t = uop.traits();
-    const RegVal a = t.readsRs1 ? regs_[uop.rs1] : 0;
-    const RegVal b = t.readsRs2 ? regs_[uop.rs2] : 0;
+    // Read before the step: a load may overwrite its own base register.
+    const Addr addr =
+        (t.readsRs1 ? interp_.reg(uop.rs1) : 0) + static_cast<Addr>(uop.imm);
 
     // --- fetch cost -------------------------------------------------------
+    // Blocking semantics through the request API: the stall covers
+    // the fill latency, so at most this one fetch miss (plus the
+    // step's own data miss) is ever in flight and rejection cannot
+    // happen.
     Cycle cost = 0; // the commit cycle itself is charged by tick()
     stallClass_ = CycleClass::kFrontendStall;
-    const Addr fetch_addr = pcToFetchAddr(pc_);
-    const Addr line = fetch_addr / kLineSize;
-    if (!cfg_.inOrderParams.lineBuffer || line != lastFetchLine_) {
-        unsigned fetch_lat;
-        if (hier_.mshrEnabled()) {
-            const MemRequestResult res =
-                hier_.instRequest(fetch_addr, cycle_);
-            NDA_ASSERT(!res.rejected(),
-                       "blocking core overflowed the I-side MSHR file");
-            fetch_lat = res.latency;
-        } else {
-            fetch_lat = hier_.instAccess(fetch_addr).latency;
-        }
-        cost += fetch_lat - 1;
-        lastFetchLine_ = line;
-    }
+    const Addr fetch_addr = pcToFetchAddr(pc);
+    const MemRequestResult fetch = hier_.instRequest(fetch_addr, cycle_);
+    NDA_ASSERT(!fetch.rejected(),
+               "blocking core overflowed the I-side MSHR file");
+    cost += fetch.latency - 1;
+    lastFetchLine_ = fetch_addr / kLineSize;
 
-    ++committed_;
+    const StepResult res = interp_.step();
     ++counters_.committedInsts;
     ++counters_.ilpCycles;
     ++counters_.ilpAccum;
-
-    auto raise_fault = [&]() {
+    if (res == StepResult::kFaulted) {
         ++counters_.squashes;
         ++counters_.faults;
-        if (prog_.faultHandler == ~Addr{0}) {
-            halted_ = true;
-        } else {
-            pc_ = prog_.faultHandler;
-        }
-    };
-
-    switch (uop.op) {
-      case Opcode::kHalt:
-        halted_ = true;
         return cost;
-      case Opcode::kNop:
-      case Opcode::kFence:
-      case Opcode::kSpecOff:
-      case Opcode::kSpecOn:
-        break;
-      case Opcode::kLoad: {
-        const Addr addr = a + static_cast<Addr>(uop.imm);
-        if (!mem_.accessAllowed(addr, uop.size, CpuMode::kUser)) {
-            raise_fault();
-            return cost;
-        }
-        const AccessResult res = dataTiming(addr, MshrTargetKind::kLoad);
-        regs_[uop.rd] = mem_.read(addr, uop.size);
-        if (dift_)
-            dift_->archLoad(uop.rd, uop.rs1, addr, uop.size, pc_);
-        stallClass_ = CycleClass::kMemoryStall;
-        cost += res.latency;
-        ++counters_.loads;
-        if (res.offChip()) {
-            counters_.mlpCycles += res.latency;
-            counters_.mlpAccum += res.latency;
-        }
-        break;
-      }
-      case Opcode::kStore: {
-        const Addr addr = a + static_cast<Addr>(uop.imm);
-        if (!mem_.accessAllowed(addr, uop.size, CpuMode::kUser)) {
-            raise_fault();
-            return cost;
-        }
-        const AccessResult res = dataTiming(addr, MshrTargetKind::kStore);
-        mem_.write(addr, b, uop.size);
-        if (dift_)
-            dift_->archStore(addr, uop.size, uop.rs2);
-        stallClass_ = CycleClass::kMemoryStall;
-        cost += res.latency;
-        ++counters_.stores;
-        break;
-      }
-      case Opcode::kClflush:
-        hier_.flushLine(a + static_cast<Addr>(uop.imm));
-        break;
-      case Opcode::kPrefetch:
-        hier_.dataAccess(a + static_cast<Addr>(uop.imm));
-        break;
-      case Opcode::kRdMsr: {
-        // Out-of-range indices fault like privileged ones (the
-        // short-circuit keeps the shift defined and msrs_[] in
-        // bounds), matching the interpreter oracle.
-        const unsigned idx = static_cast<unsigned>(uop.imm);
-        if (idx >= static_cast<unsigned>(kNumMsrRegs) ||
-            (prog_.privilegedMsrMask & (1u << idx))) {
-            raise_fault();
-            return cost;
-        }
-        regs_[uop.rd] = msrs_[idx];
-        if (dift_)
-            dift_->archRdMsr(uop.rd, idx, pc_);
-        break;
-      }
-      case Opcode::kWrMsr: {
-        const unsigned idx = static_cast<unsigned>(uop.imm);
-        if (idx >= static_cast<unsigned>(kNumMsrRegs) ||
-            (prog_.privilegedMsrMask & (1u << idx))) {
-            raise_fault();
-            return cost;
-        }
-        msrs_[idx] = a;
-        if (dift_)
-            dift_->archWrMsr(idx, uop.rs1);
-        break;
-      }
-      case Opcode::kRdTsc:
-        regs_[uop.rd] = cycle_;
-        if (dift_)
-            dift_->setArchRegTaint(uop.rd, 0);
-        break;
-      default:
-        if (t.isBranch) {
-            if (t.hasDest) {
-                regs_[uop.rd] = pc_ + 1;
-                if (dift_)
-                    dift_->setArchRegTaint(uop.rd, 0);
-            }
-            if (t.isCondBranch) {
-                ++counters_.condBranches;
-                pc_ = evalNextPc(uop, pc_, a, b);
-            } else {
-                if (t.isIndirect)
-                    ++counters_.indirectBranches;
-                pc_ = evalNextPc(uop, pc_, a, b);
-            }
-            return cost;
-        }
-        regs_[uop.rd] = evalAlu(uop.op, a, b, uop.imm);
-        if (dift_)
-            dift_->archAlu(uop);
-        stallClass_ = CycleClass::kBackendStall;
-        cost += opLatencyCycles(uop.op) - 1;
-        break;
     }
 
-    pc_ = pc_ + 1;
+    if (t.isLoad || t.isStore) {
+        // seq carries the commit index; nothing here squashes.
+        const MemRequestResult req = hier_.dataRequest(
+            addr, cycle_, static_cast<InstSeqNum>(interp_.instCount()),
+            t.isLoad ? MshrTargetKind::kLoad : MshrTargetKind::kStore);
+        NDA_ASSERT(!req.rejected(),
+                   "blocking core overflowed the D-side MSHR file");
+        stallClass_ = CycleClass::kMemoryStall;
+        cost += req.latency;
+        if (t.isLoad) {
+            ++counters_.loads;
+            if (req.offChip()) {
+                counters_.mlpCycles += req.latency;
+                counters_.mlpAccum += req.latency;
+            }
+        } else {
+            ++counters_.stores;
+        }
+    } else if (uop.op == Opcode::kClflush) {
+        hier_.flushLine(addr);
+    } else if (uop.op == Opcode::kPrefetch) {
+        hier_.dataAccess(addr);
+    } else if (uop.op == Opcode::kRdTsc) {
+        interp_.setReg(uop.rd, cycle_); // real time, not the inst count
+    } else if (t.isCondBranch) {
+        ++counters_.condBranches;
+    } else if (t.isIndirect) {
+        ++counters_.indirectBranches;
+    } else if (isAluOp(uop.op)) {
+        stallClass_ = CycleClass::kBackendStall;
+        cost += opLatencyCycles(uop.op) - 1;
+    }
     return cost;
 }
 

@@ -11,15 +11,20 @@
 
 #include "core/core_base.hh"
 #include "core/core_config.hh"
+#include "isa/interpreter.hh"
 #include "isa/program.hh"
 
 namespace nda {
 
-/** Non-pipelined in-order timing model. */
+/**
+ * Non-pipelined in-order timing model. The architecture is the
+ * reference Interpreter, stepped once per instruction; the core adds
+ * only timing: one i-cache request per instruction, a blocking data
+ * request per load/store, and the execute latency of ALU ops.
+ */
 class InOrderCore : public CoreBase
 {
   public:
-    /** The core keeps its own copy of `prog`. */
     InOrderCore(Program prog, const SimConfig &cfg);
 
     /**
@@ -29,15 +34,19 @@ class InOrderCore : public CoreBase
     void tick() override;
     void run(std::uint64_t max_insts, Cycle max_cycles) override;
 
-    bool halted() const override { return halted_; }
+    bool halted() const override { return interp_.halted(); }
     Cycle cycle() const override { return cycle_; }
-    std::uint64_t committedInsts() const override { return committed_; }
+    std::uint64_t
+    committedInsts() const override
+    {
+        return interp_.instCount();
+    }
 
-    RegVal archReg(RegId r) const override { return regs_[r]; }
-    RegVal msr(unsigned idx) const override { return msrs_[idx]; }
+    RegVal archReg(RegId r) const override { return interp_.reg(r); }
+    RegVal msr(unsigned idx) const override { return interp_.msr(idx); }
 
-    MemoryMap &mem() override { return mem_; }
-    const MemoryMap &mem() const override { return mem_; }
+    MemoryMap &mem() override { return interp_.mem(); }
+    const MemoryMap &mem() const override { return interp_.mem(); }
     MemHierarchy &hierarchy() override { return hier_; }
 
     PerfCounters &counters() override { return counters_; }
@@ -46,7 +55,12 @@ class InOrderCore : public CoreBase
 
     /** DIFT oracle: architectural taint only — nothing speculates
      *  here, so no leak event can ever be raised. */
-    void attachDift(TaintEngine *engine) override { dift_ = engine; }
+    void
+    attachDift(TaintEngine *engine) override
+    {
+        dift_ = engine;
+        interp_.attachDift(engine);
+    }
 
     /** CPI stack: width 1, so each cycle is one slot — a commit, or a
      *  stall charged to the instruction paying its latency. */
@@ -64,24 +78,13 @@ class InOrderCore : public CoreBase
     /** Execute one instruction; returns its total cycle cost. */
     Cycle step();
 
-    /** Data-side timing for one access: legacy eager path, or the
-     *  MSHR request path when enabled (identical latencies — the
-     *  blocking core never overlaps misses). */
-    AccessResult dataTiming(Addr addr, MshrTargetKind kind);
-
-    const Program prog_;
-    SimConfig cfg_;
-    MemoryMap mem_;
+    Interpreter interp_;
     MemHierarchy hier_;
 
-    RegVal regs_[kNumArchRegs] = {};
-    RegVal msrs_[kNumMsrRegs] = {};
-    Addr pc_ = 0;
-    bool halted_ = false;
     Cycle cycle_ = 0;
     Cycle busyUntil_ = 0;
     CycleClass stallClass_ = CycleClass::kCommit;
-    std::uint64_t committed_ = 0;
+    /** Line of the last i-fetch, carried in ArchState::lastFetchLine. */
     Addr lastFetchLine_ = ~Addr{0};
     TaintEngine *dift_ = nullptr;
     CpiStackProfiler *cpiStack_ = nullptr; ///< usually absent

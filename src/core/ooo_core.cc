@@ -97,7 +97,7 @@ OooCore::saveCheckpoint(SimSnapshot &out) const
                                        : t0.fetchPc;
     arch.halted = t0.halted;
     arch.instCount = committed_;
-    arch.faultCount = counters_.faults;
+    arch.faultCount = faultCount_;
     arch.lastFetchLine = t0.lastFetchLine;
     arch.mem = mem_;
     if (dift_) {
@@ -153,7 +153,7 @@ OooCore::restoreCheckpoint(const SimSnapshot &snap)
     t0.fetchPc = arch.pc;
     t0.halted = arch.halted;
     committed_ = arch.instCount;
-    counters_.faults = arch.faultCount;
+    faultCount_ = arch.faultCount;
     t0.lastFetchLine = arch.lastFetchLine;
     mem_ = arch.mem;
     if (dift_ && arch.hasTaint) {
@@ -243,24 +243,20 @@ OooCore::corruptForTest(FuzzCorruption kind)
       case FuzzCorruption::kMshrDupPrimary:
         // Two primary entries racing for one line: both would fill,
         // double-counting and corrupting LRU order.
-        return hier_.mshrEnabled() &&
-               hier_.mshrDataForTest().testDuplicatePrimary();
+        return hier_.mshrDataForTest().testDuplicatePrimary();
       case FuzzCorruption::kMshrGhostTarget:
         // A fill about to wake a load the LSQ has never heard of.
-        return hier_.mshrEnabled() &&
-               hier_.mshrDataForTest().testAddGhostTarget(nextSeq_ +
+        return hier_.mshrDataForTest().testAddGhostTarget(nextSeq_ +
                                                           1000);
       case FuzzCorruption::kMshrOverflow:
         // More in-flight misses than registers exist to track them.
-        return hier_.mshrEnabled() &&
-               hier_.mshrDataForTest().testOverflow(
-                   cycle_ + hier_.params().l2.hitLatency +
-                   hier_.params().dramLatency);
+        return hier_.mshrDataForTest().testOverflow(
+            cycle_ + hier_.params().l2.hitLatency +
+            hier_.params().dramLatency);
       case FuzzCorruption::kMshrStuckFill:
         // A fill the memory system lost: scheduled beyond any legal
         // miss latency, so its waiting loads would sleep forever.
-        return hier_.mshrEnabled() &&
-               hier_.mshrDataForTest().testStuckFill();
+        return hier_.mshrDataForTest().testStuckFill();
       default:
         return false;
     }
@@ -275,11 +271,9 @@ OooCore::tick()
         ++c.cycles;
     completionsThisCycle_ = 0;
 
-    // Non-blocking mode: land every fill due this cycle before any
-    // stage looks at the tags (the completing load's line must be
-    // present when it wakes).
-    if (hier_.mshrEnabled())
-        hier_.advance(cycle_);
+    // Land every fill due this cycle before any stage looks at the
+    // tags (the completing load's line must be present when it wakes).
+    hier_.advance(cycle_);
 
     commitStage();
     completeStage();
@@ -423,21 +417,17 @@ OooCore::commitStage()
             break;
         }
         if (inst->isStore()) {
-            if (hier_.mshrEnabled()) {
-                // The drain needs a write-allocate slot; a full MSHR
-                // file stalls commit this cycle (retry next).
-                const MemRequestResult res = hier_.dataRequest(
-                    inst->effAddr, cycle_, inst->seq,
-                    MshrTargetKind::kStore, tid);
-                if (res.rejected()) {
-                    tc.commitBreak = CommitBreak::kStoreMshrFull;
-                    break;
-                }
+            // The drain needs a write-allocate slot; a full MSHR file
+            // stalls commit this cycle (retry next).
+            const MemRequestResult res = hier_.dataRequest(
+                inst->effAddr, cycle_, inst->seq, MshrTargetKind::kStore,
+                tid);
+            if (res.rejected()) {
+                tc.commitBreak = CommitBreak::kStoreMshrFull;
+                break;
             }
             inst->storeData = regs_.value(inst->src2);
             mem_.write(inst->effAddr, inst->storeData, inst->uop.size);
-            if (!hier_.mshrEnabled())
-                hier_.dataAccess(inst->effAddr);
             lsq_.commitStore(*inst);
             ++counters_.stores;
             if (tcc)
@@ -836,6 +826,7 @@ OooCore::raiseFault(const DynInstPtr &inst)
     // (inclusive) is squashed and fetch redirects to the handler.
     ++counters_.squashes;
     ++counters_.faults;
+    ++faultCount_;
     if (PerfCounters *c = tcnt(inst->tid)) {
         ++c->squashes;
         ++c->faults;
@@ -1362,20 +1353,13 @@ OooCore::executeInst(const DynInstPtr &inst, unsigned &mem_issued,
       }
       case Opcode::kPrefetch: {
         const Addr addr = a + static_cast<Addr>(uop.imm);
-        AccessResult res;
-        if (hier_.mshrEnabled()) {
-            const MemRequestResult req = hier_.dataRequest(
-                addr, cycle_, inst->seq, MshrTargetKind::kPrefetch,
-                inst->tid);
-            if (req.rejected()) {
-                // Real prefetchers drop requests under MSHR pressure;
-                // the hint completes with no cache-state change.
-                scheduleCompletion(inst, 1);
-                return;
-            }
-            res = {req.latency, req.level};
-        } else {
-            res = hier_.dataAccess(addr);
+        const MemRequestResult res = hier_.dataRequest(
+            addr, cycle_, inst->seq, MshrTargetKind::kPrefetch, inst->tid);
+        if (res.rejected()) {
+            // Real prefetchers drop requests under MSHR pressure; the
+            // hint completes with no cache-state change.
+            scheduleCompletion(inst, 1);
+            return;
         }
         if (dift_ && inst->taint) {
             inst->addrTaint = inst->taint;
@@ -1553,34 +1537,29 @@ OooCore::executeLoad(const DynInstPtr &inst)
             inst->shadowLoad = true;
             inst->peekLevel = res.level;
         } else {
-            if (hier_.mshrEnabled()) {
-                const MemRequestResult req = hier_.dataRequest(
-                    addr, cycle_, inst->seq, MshrTargetKind::kLoad,
-                    inst->tid);
-                if (req.rejected()) {
-                    // MSHR full: the load stays in the issue queue
-                    // and retries next cycle, exactly like a
-                    // partial-overlap store stall. Nothing was
-                    // mutated, so the retry recomputes from scratch.
-                    inst->effAddrValid = false;
-                    inst->bypassedStores.clear();
-                    inst->mshrRejected = true;
-                    return false;
-                }
-                res = {req.latency, req.level};
-                // DIFT MSHR-contention channel: a secret-indexed miss
-                // occupied a *shared* MSHR entry — backpressure the
-                // co-resident thread can time, and the occupancy is
-                // not reverted by this load's squash.
-                if (dift_ && inst->addrTaint && numThreads_ > 1 &&
-                    req.status != MemReqStatus::kHit) {
-                    dift_->recordPending(inst->seq, inst->pc,
-                                         LeakChannel::kMshrContention,
-                                         "mshr-occupy", addr, cycle_,
-                                         inst->addrTaint);
-                }
-            } else {
-                res = hier_.dataAccess(addr);
+            const MemRequestResult req = hier_.dataRequest(
+                addr, cycle_, inst->seq, MshrTargetKind::kLoad, inst->tid);
+            if (req.rejected()) {
+                // MSHR full: the load stays in the issue queue and
+                // retries next cycle, exactly like a partial-overlap
+                // store stall. Nothing was mutated, so the retry
+                // recomputes from scratch.
+                inst->effAddrValid = false;
+                inst->bypassedStores.clear();
+                inst->mshrRejected = true;
+                return false;
+            }
+            res = {req.latency, req.level};
+            // DIFT MSHR-contention channel: a secret-indexed miss
+            // occupied a *shared* MSHR entry — backpressure the
+            // co-resident thread can time, and the occupancy is not
+            // reverted by this load's squash. Only exists with MSHRs.
+            if (dift_ && inst->addrTaint && numThreads_ > 1 &&
+                hier_.mshrEnabled() && req.status != MemReqStatus::kHit) {
+                dift_->recordPending(inst->seq, inst->pc,
+                                     LeakChannel::kMshrContention,
+                                     "mshr-occupy", addr, cycle_,
+                                     inst->addrTaint);
             }
             // DIFT: a secret-indexed access moved cache state (a fill,
             // or an LRU touch on a hit) — observable if squashed.
@@ -1806,27 +1785,18 @@ OooCore::fetchThread(unsigned tid)
         const Addr fetch_addr = pcToFetchAddr(tc.fetchPc);
         const Addr line = fetch_addr / kLineSize;
         if (line != tc.lastFetchLine) {
-            if (hier_.mshrEnabled()) {
-                const MemRequestResult req =
-                    hier_.instRequest(fetch_addr, cycle_);
-                if (req.rejected()) {
-                    // I-side MSHR full (only reachable after a squash
-                    // raced an in-flight line): retry next cycle.
-                    tc.icacheStallUntil = cycle_ + 1;
-                    break;
-                }
-                tc.lastFetchLine = line;
-                if (req.status != MemReqStatus::kHit) {
-                    tc.icacheStallUntil = cycle_ + req.latency;
-                    break;
-                }
-            } else {
-                const AccessResult res = hier_.instAccess(fetch_addr);
-                tc.lastFetchLine = line;
-                if (res.level != HitLevel::kL1) {
-                    tc.icacheStallUntil = cycle_ + res.latency;
-                    break;
-                }
+            const MemRequestResult req =
+                hier_.instRequest(fetch_addr, cycle_);
+            if (req.rejected()) {
+                // I-side MSHR full (only reachable after a squash
+                // raced an in-flight line): retry next cycle.
+                tc.icacheStallUntil = cycle_ + 1;
+                break;
+            }
+            tc.lastFetchLine = line;
+            if (req.status != MemReqStatus::kHit) {
+                tc.icacheStallUntil = cycle_ + req.latency;
+                break;
             }
         }
 

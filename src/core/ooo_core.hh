@@ -401,6 +401,9 @@ class OooCore : public CoreBase
     Cycle cycle_ = 0;
     std::uint64_t commitTarget_ = ~std::uint64_t{0};
     std::uint64_t committed_ = 0;
+    /** Delivered faults since the entry point (ArchState::faultCount);
+     *  unlike counters_.faults, survives resetCounters(). */
+    std::uint64_t faultCount_ = 0;
     bool halted_ = false; ///< every hardware thread halted
     int outstandingMisses_ = 0;
     unsigned completionsThisCycle_ = 0;

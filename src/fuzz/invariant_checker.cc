@@ -515,8 +515,6 @@ void
 InvariantChecker::checkMshr(const OooCore &core)
 {
     const MemHierarchy &hier = core.hier_;
-    if (!hier.mshrEnabled())
-        return;
 
     // advance() runs at the top of the tick, so by cycle end every
     // surviving fill must be strictly in the future — and no farther

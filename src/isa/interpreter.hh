@@ -114,6 +114,7 @@ class Interpreter
      */
     std::uint64_t runTo(std::uint64_t target_inst_count);
 
+    const Program &program() const { return prog_; }
     bool halted() const { return st_.halted; }
     Addr pc() const { return st_.pc; }
     RegVal reg(RegId r) const { return st_.regs[r]; }

@@ -57,11 +57,26 @@ MemHierarchy::instAccess(Addr addr)
     return {params_.l2.hitLatency + params_.dramLatency, HitLevel::kMemory};
 }
 
+namespace {
+
+/** An eager access seen through the request API: the fill already
+ *  landed, so nothing is ever merged or rejected. */
+MemRequestResult
+eagerRequest(const AccessResult &res)
+{
+    return {res.level == HitLevel::kL1 ? MemReqStatus::kHit
+                                       : MemReqStatus::kMiss,
+            res.latency, res.level};
+}
+
+} // namespace
+
 MemRequestResult
 MemHierarchy::dataRequest(Addr addr, Cycle now, InstSeqNum seq,
                           MshrTargetKind kind, unsigned tid)
 {
-    NDA_ASSERT(mshrEnabled(), "dataRequest needs mshrEntries > 0");
+    if (!mshrEnabled())
+        return eagerRequest(dataAccess(addr));
     if (l1d_.probe(addr)) {
         l1d_.access(addr);
         return {MemReqStatus::kHit, params_.l1d.hitLatency,
@@ -121,7 +136,8 @@ MemHierarchy::dataRequest(Addr addr, Cycle now, InstSeqNum seq,
 MemRequestResult
 MemHierarchy::instRequest(Addr addr, Cycle now)
 {
-    NDA_ASSERT(mshrEnabled(), "instRequest needs mshrEntries > 0");
+    if (!mshrEnabled())
+        return eagerRequest(instAccess(addr));
     if (l1i_.probe(addr)) {
         l1i_.access(addr);
         return {MemReqStatus::kHit, params_.l1i.hitLatency,
@@ -224,7 +240,7 @@ MemHierarchy::Snapshot
 MemHierarchy::save() const
 {
     Snapshot snap{l1i_.save(), l1d_.save(), l2_.save()};
-    if (mshrEnabled() && !mshrDrained()) {
+    if (!mshrDrained()) {
         drainInto(mshrL2_, params_.l2, snap.l2);
         drainInto(mshrI_, params_.l1i, snap.l1i);
         drainInto(mshrD_, params_.l1d, snap.l1d);

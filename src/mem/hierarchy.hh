@@ -4,16 +4,22 @@
  * split 32 KiB L1I/L1D (4-cycle round trip), unified 2 MiB L2
  * (40-cycle round trip), 50 ns DRAM (100 cycles at 2 GHz).
  *
- * Two timing modes:
+ * The timing cores reach it through one request API (`dataRequest`,
+ * `instRequest`, `advance`, `squashLoadTargets`); the hierarchy alone
+ * chooses which of two timing modes serves it:
  *  - mshrEntries == 0 (default): the legacy eager model — a miss
- *    charges its latency and fills tags immediately. This is the
- *    bit-exact behaviour every pre-MSHR golden, checkpoint, and
- *    fuzzer fingerprint was recorded against.
+ *    charges its latency and fills tags immediately, so a request is
+ *    kHit exactly when L1 hits, is never merged or rejected, and
+ *    `advance()` has nothing to do. This is the bit-exact behaviour
+ *    every pre-MSHR golden, checkpoint, and fuzzer fingerprint was
+ *    recorded against.
  *  - mshrEntries >= 1: non-blocking mode. Misses allocate MSHR
  *    entries (mem/mshr.hh) and the tags fill only when `advance()`
  *    reaches the scheduled fill cycle; a full file rejects the
  *    request (the core retries). mshrEntries == 1 per L1 file is the
  *    canonical *blocking* configuration: one miss in flight.
+ * `dataAccess`/`instAccess` are the eager path itself, used directly
+ * by functional warming and by the in-order core's prefetch touch.
  */
 
 #ifndef NDASIM_MEM_HIERARCHY_HH
@@ -125,24 +131,27 @@ class MemHierarchy
     /** Instruction fetch access; mutates L1I/L2 state (legacy path). */
     AccessResult instAccess(Addr addr);
 
-    // --- non-blocking (MSHR) request interface ------------------------
+    // --- request interface (both timing modes) -------------------------
     /**
-     * Data-side request in non-blocking mode. On a miss the fill is
-     * scheduled through the MSHR files instead of landing eagerly;
-     * kRejected means the file was full and *nothing* was mutated
-     * (retry next cycle). `now` is the core's current cycle; `seq`
-     * and `tid` identify the requester for squash-time target
-     * cancellation (squashes are per-hardware-thread under SMT).
+     * Data-side request. With MSHRs, a miss schedules its fill
+     * through the MSHR files instead of landing eagerly; kRejected
+     * means the file was full and *nothing* was mutated (retry next
+     * cycle). Without MSHRs this is `dataAccess()`: kHit on an L1 hit,
+     * kMiss otherwise, never kRejected. `now` is the core's current
+     * cycle; `seq` and `tid` identify the requester for squash-time
+     * target cancellation (squashes are per-hardware-thread under
+     * SMT).
      */
     MemRequestResult dataRequest(Addr addr, Cycle now, InstSeqNum seq,
                                  MshrTargetKind kind, unsigned tid = 0);
 
-    /** Instruction-side request in non-blocking mode. */
+    /** Instruction-side request; `instAccess()` without MSHRs. */
     MemRequestResult instRequest(Addr addr, Cycle now);
 
     /** Drain every fill due at or before `now` into the tag arrays
      *  (L2 first, then L1I, then L1D; (fillAt, alloc) order within a
-     *  file) and sample MSHR occupancy. Call once per core cycle. */
+     *  file) and sample MSHR occupancy. Call once per core cycle;
+     *  a no-op without MSHRs. */
     void advance(Cycle now);
 
     /** Squash recovery: drop thread `tid`'s load targets younger than

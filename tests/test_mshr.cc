@@ -17,6 +17,7 @@
 #include "isa/program.hh"
 #include "mem/hierarchy.hh"
 #include "mem/mshr.hh"
+#include "obs/stats_registry.hh"
 
 namespace nda {
 namespace {
@@ -219,6 +220,58 @@ TEST(MshrHierarchy, MidMissSaveConvergesAndRoundTrips)
     MemHierarchy fresh(mshrParams(4));
     fresh.restore(snap);
     EXPECT_EQ(fresh.save(), snap);
+}
+
+TEST(MshrHierarchy, ZeroEntriesServeRequestsEagerly)
+{
+    // Without MSHRs the request API is the eager access path: same
+    // latency and level as dataAccess/instAccess on a twin hierarchy,
+    // kHit exactly on an L1 hit, never a rejection, and advance /
+    // squashLoadTargets leave every MSHR stat untouched.
+    MemHierarchy req(mshrParams(0));
+    MemHierarchy eager(mshrParams(0));
+    const Addr a = 0x100000;
+    const Addr b = 0x200000;
+    struct Step {
+        bool inst;
+        Addr addr;
+        HitLevel level;
+    };
+    const Step steps[] = {
+        {false, a, HitLevel::kMemory}, {false, a, HitLevel::kL1},
+        {true, a, HitLevel::kL2},      {true, a, HitLevel::kL1},
+        {true, b, HitLevel::kMemory},  {false, b, HitLevel::kL2},
+    };
+    Cycle now = 0;
+    for (const Step &st : steps) {
+        SCOPED_TRACE(now);
+        const MemRequestResult got =
+            st.inst ? req.instRequest(st.addr, now)
+                    : req.dataRequest(st.addr, now, now,
+                                      MshrTargetKind::kLoad);
+        const AccessResult want = st.inst ? eager.instAccess(st.addr)
+                                          : eager.dataAccess(st.addr);
+        EXPECT_EQ(want.level, st.level);
+        EXPECT_EQ(got.level, want.level);
+        EXPECT_EQ(got.latency, want.latency);
+        EXPECT_EQ(got.status, want.level == HitLevel::kL1
+                                  ? MemReqStatus::kHit
+                                  : MemReqStatus::kMiss);
+        now += got.latency;
+        req.advance(now);
+        req.squashLoadTargets(0);
+    }
+
+    StatsRegistry got_stats, want_stats;
+    req.registerStats(got_stats, "mem");
+    eager.registerStats(want_stats, "mem");
+    EXPECT_EQ(got_stats.dumpText(), want_stats.dumpText());
+    EXPECT_TRUE(req.mshrDrained());
+    for (const Mshr *file :
+         {&req.mshrInst(), &req.mshrData(), &req.mshrL2()}) {
+        EXPECT_EQ(file->secondaryMerges(), 0u) << file->name();
+        EXPECT_EQ(file->fullStalls(), 0u) << file->name();
+    }
 }
 
 // --- end-to-end timing on the cores ------------------------------------

@@ -127,6 +127,50 @@ TEST(ArchStateSnapshot, InOrderRestoreRoundTripsAndMatchesInterpreter)
     EXPECT_TRUE(core->mem() == ref.mem());
 }
 
+TEST(ArchStateSnapshot, FaultCountSurvivesCounterReset)
+{
+    // 50 iterations of a faulting rdmsr whose handler resumes the
+    // loop. ArchState::faultCount is a lifetime count: a measurement
+    // window boundary (resetCounters) must not shorten it, on either
+    // timing core, and a restore must carry it forward.
+    ProgramBuilder b("faulty");
+    b.initMsr(0, 42, true);
+    b.movi(1, 0);
+    b.movi(2, 50);
+    auto loop = b.label();
+    b.rdmsr(3, 0);
+    auto handler = b.label();
+    b.addi(1, 1, 1);
+    b.blt(1, 2, loop);
+    b.halt();
+    b.faultHandlerAt(handler);
+    const Program prog = b.build();
+
+    Interpreter ref(prog);
+    ref.run(1'000'000);
+    ASSERT_TRUE(ref.halted());
+    ASSERT_EQ(ref.faultCount(), 50u);
+
+    for (const Profile profile : {Profile::kInOrder, Profile::kOoo}) {
+        SCOPED_TRACE(profileName(profile));
+        const SimConfig cfg = makeProfile(profile);
+        auto core = makeCore(prog, cfg);
+        core->run(60, ~Cycle{0});
+        core->resetCounters();
+        core->run(1'000'000, 10'000'000);
+        ASSERT_TRUE(core->halted());
+        SimSnapshot done;
+        core->saveCheckpoint(done);
+        EXPECT_EQ(done.arch.faultCount, ref.faultCount());
+
+        auto fresh = makeCore(prog, cfg);
+        fresh->restoreCheckpoint(done);
+        SimSnapshot again;
+        fresh->saveCheckpoint(again);
+        EXPECT_EQ(again.arch.faultCount, ref.faultCount());
+    }
+}
+
 // --------------------------------------------------------------------------
 // OoO core: restore is deterministic and architecturally faithful
 // --------------------------------------------------------------------------
