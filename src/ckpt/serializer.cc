@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 
 #include "common/log.hh"
 
@@ -35,56 +36,82 @@ enum SectionId : std::uint32_t {
 };
 
 // ---------------------------------------------------------------------------
-// Little-endian primitives
+// The two directions of one format
 // ---------------------------------------------------------------------------
+//
+// Every section is described once, by an `ioX(IO &, T &)` template
+// that visits its fields in file order with explicit widths. Run with
+// an Appender over a const snapshot it writes; run with a Cursor over
+// a mutable one it reads. Both types offer the same operations:
+//
+//   u32/u64(v)      fixed-width little-endian integer
+//   flag(b)         bool as one byte (0/1)
+//   bytes(p, n)     raw byte run
+//   str(s)          u32 length + bytes
+//   size(vec, min)  u64 element count; the reader resizes `vec`
+//   count(n, min)   u64 element count held in a local
+//   present(flag)   the section's presence stands for `flag`
+//
+// `min` is the smallest encoding of one element: the reader rejects a
+// count that cannot fit in the bytes left, so a flipped length byte
+// cannot turn into a multi-gigabyte allocation.
 
-void
-putU8(std::vector<std::uint8_t> &b, std::uint8_t v)
-{
-    b.push_back(v);
-}
+/** Little-endian appender: the writing half. */
+struct Appender {
+    static constexpr bool kReading = false;
+    std::vector<std::uint8_t> &b;
 
-void
-putU32(std::vector<std::uint8_t> &b, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+    bool ok() const { return true; }
 
-void
-putU64(std::vector<std::uint8_t> &b, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
+    void
+    le(std::uint64_t v, int width)
+    {
+        for (int i = 0; i < width; ++i)
+            b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
 
-void
-putBytes(std::vector<std::uint8_t> &b, const std::uint8_t *data,
-         std::size_t len)
-{
-    b.insert(b.end(), data, data + len);
-}
+    template <class T>
+    void u32(const T &v) { le(static_cast<std::uint32_t>(v), 4); }
+    template <class T>
+    void u64(const T &v) { le(static_cast<std::uint64_t>(v), 8); }
+    void flag(const bool &v) { le(v ? 1 : 0, 1); }
 
-void
-putString(std::vector<std::uint8_t> &b, const std::string &s)
-{
-    putU32(b, static_cast<std::uint32_t>(s.size()));
-    putBytes(b, reinterpret_cast<const std::uint8_t *>(s.data()),
-             s.size());
-}
+    void
+    bytes(const std::uint8_t *data, std::size_t n)
+    {
+        b.insert(b.end(), data, data + n);
+    }
+
+    void
+    str(const std::string &s)
+    {
+        u32(s.size());
+        bytes(reinterpret_cast<const std::uint8_t *>(s.data()),
+              s.size());
+    }
+
+    template <class V>
+    void size(const V &vec, std::size_t) { u64(vec.size()); }
+    void count(const std::uint64_t &n, std::size_t) { u64(n); }
+    void present(const bool &) {}
+};
 
 /**
- * Bounds-checked reading cursor. Every accessor is a no-op returning
- * zero once `fail()` has fired, so parse code reads linearly and
- * checks once per section — corrupt input can produce garbage values
- * but never an out-of-bounds access or a surprise exception.
+ * Bounds-checked reading cursor: the reading half. Every accessor is
+ * a no-op yielding zero once `fail()` has fired, so parse code reads
+ * linearly and checks once per section — corrupt input can produce
+ * garbage values but never an out-of-bounds access or a surprise
+ * exception.
  */
 struct Cursor {
+    static constexpr bool kReading = true;
     const std::uint8_t *data;
     std::size_t len;
     std::size_t pos = 0;
     bool failed = false;
     std::string error = {};
+
+    bool ok() const { return !failed; }
 
     void
     fail(const std::string &why)
@@ -107,35 +134,22 @@ struct Cursor {
         return true;
     }
 
-    std::uint8_t
-    u8()
-    {
-        if (!need(1))
-            return 0;
-        return data[pos++];
-    }
-
-    std::uint32_t
-    u32()
-    {
-        if (!need(4))
-            return 0;
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(data[pos++]) << (8 * i);
-        return v;
-    }
-
     std::uint64_t
-    u64()
+    le(int width)
     {
-        if (!need(8))
+        if (!need(width))
             return 0;
         std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
+        for (int i = 0; i < width; ++i)
             v |= static_cast<std::uint64_t>(data[pos++]) << (8 * i);
         return v;
     }
+
+    template <class T>
+    void u32(T &v) { v = static_cast<T>(le(4)); }
+    template <class T>
+    void u64(T &v) { v = static_cast<T>(le(8)); }
+    void flag(bool &v) { v = le(1) != 0; }
 
     void
     bytes(std::uint8_t *out, std::size_t n)
@@ -146,348 +160,276 @@ struct Cursor {
         pos += n;
     }
 
-    std::string
-    str()
+    void
+    str(std::string &s)
     {
-        const std::uint32_t n = u32();
+        std::uint32_t n = 0;
+        u32(n);
+        s.clear();
         if (!need(n))
-            return {};
-        std::string s(reinterpret_cast<const char *>(data + pos), n);
+            return;
+        s.assign(reinterpret_cast<const char *>(data + pos), n);
         pos += n;
-        return s;
     }
 
-    /**
-     * An element count embedded in the payload. Rejecting counts
-     * whose minimum encoding exceeds the remaining bytes keeps a
-     * flipped length byte from turning into a multi-gigabyte
-     * allocation before the truncation check would fire.
-     */
-    std::uint64_t
-    count(std::size_t min_elem_bytes)
+    void
+    count(std::uint64_t &n, std::size_t min_elem_bytes)
     {
-        const std::uint64_t n = u64();
-        if (!failed && min_elem_bytes > 0 &&
-            n > (len - pos) / min_elem_bytes) {
+        u64(n);
+        if (!failed && n > (len - pos) / min_elem_bytes) {
             fail("implausible element count");
-            return 0;
+            n = 0;
         }
-        return n;
     }
+
+    template <class V>
+    void
+    size(V &vec, std::size_t min_elem_bytes)
+    {
+        std::uint64_t n = 0;
+        count(n, min_elem_bytes);
+        vec.resize(failed ? 0 : n);
+    }
+
+    void present(bool &f) { f = true; }
 };
 
 // ---------------------------------------------------------------------------
 // Section payloads
 // ---------------------------------------------------------------------------
 
+template <class IO, class Arch>
 void
-writeArch(std::vector<std::uint8_t> &b, const ArchState &a)
+ioArch(IO &io, Arch &a)
 {
-    for (int r = 0; r < kNumArchRegs; ++r)
-        putU64(b, a.regs[r]);
-    putU64(b, a.pc);
-    putU64(b, a.instCount);
-    putU64(b, a.faultCount);
-    putU64(b, a.lastFetchLine);
-    putU8(b, a.halted ? 1 : 0);
-    for (int m = 0; m < kNumMsrRegs; ++m)
-        putU64(b, a.msrs[m]);
+    for (auto &r : a.regs)
+        io.u64(r);
+    io.u64(a.pc);
+    io.u64(a.instCount);
+    io.u64(a.faultCount);
+    io.u64(a.lastFetchLine);
+    io.flag(a.halted);
+    for (auto &m : a.msrs)
+        io.u64(m);
 }
 
+template <class IO, class Mem>
 void
-readArch(Cursor &c, ArchState &a)
+ioMemMap(IO &io, Mem &mem)
 {
-    for (int r = 0; r < kNumArchRegs; ++r)
-        a.regs[r] = c.u64();
-    a.pc = c.u64();
-    a.instCount = c.u64();
-    a.faultCount = c.u64();
-    a.lastFetchLine = c.u64();
-    a.halted = c.u8() != 0;
-    for (int m = 0; m < kNumMsrRegs; ++m)
-        a.msrs[m] = c.u64();
-}
-
-void
-writeMemMap(std::vector<std::uint8_t> &b, const MemoryMap &mem)
-{
-    const std::vector<Addr> pages = mem.residentPages();
-    putU64(b, pages.size());
+    // Written in resident-page (address) order; read back through
+    // writeBytes, which materializes a page even when all-zero —
+    // exactly right, since the resident-page set is part of the
+    // MemoryMap equality contract.
+    std::vector<Addr> pages;
+    if constexpr (!IO::kReading)
+        pages = mem.residentPages();
+    std::uint64_t n = pages.size();
+    io.count(n, 8 + 1 + MemoryMap::kPageBytes);
     std::array<std::uint8_t, MemoryMap::kPageBytes> page{};
-    for (const Addr base : pages) {
-        putU64(b, base);
-        putU8(b, mem.permAt(base) == MemPerm::kKernel ? 1 : 0);
-        mem.readBytes(base, page.data(), page.size());
-        putBytes(b, page.data(), page.size());
+    for (std::uint64_t i = 0; i < n && io.ok(); ++i) {
+        Addr base = 0;
+        bool kernel = false;
+        if constexpr (!IO::kReading) {
+            base = pages[i];
+            kernel = mem.permAt(base) == MemPerm::kKernel;
+            mem.readBytes(base, page.data(), page.size());
+        }
+        io.u64(base);
+        io.flag(kernel);
+        io.bytes(page.data(), page.size());
+        if constexpr (IO::kReading) {
+            if (!io.ok())
+                break;
+            mem.writeBytes(base, page.data(), page.size());
+            if (kernel)
+                mem.setPerm(base, MemoryMap::kPageBytes, MemPerm::kKernel);
+        }
     }
 }
 
+template <class IO, class Arch>
 void
-readMemMap(Cursor &c, MemoryMap &mem)
+ioTaint(IO &io, Arch &a)
 {
-    const std::uint64_t n = c.count(8 + 1 + MemoryMap::kPageBytes);
-    std::array<std::uint8_t, MemoryMap::kPageBytes> page{};
-    for (std::uint64_t i = 0; i < n && !c.failed; ++i) {
-        const Addr base = c.u64();
-        const bool kernel = c.u8() != 0;
-        c.bytes(page.data(), page.size());
-        if (c.failed)
-            break;
-        // writeBytes materializes the page even when all-zero, which
-        // is exactly right: the resident-page set is part of the
-        // MemoryMap equality contract.
-        mem.writeBytes(base, page.data(), page.size());
-        if (kernel)
-            mem.setPerm(base, MemoryMap::kPageBytes, MemPerm::kKernel);
+    for (auto &t : a.regTaint)
+        io.u64(t);
+    for (auto &t : a.msrTaint)
+        io.u64(t);
+    // The sparse memory taint travels as an address-sorted list.
+    std::vector<std::pair<Addr, TaintWord>> words;
+    if constexpr (!IO::kReading) {
+        words.assign(a.memTaint.begin(), a.memTaint.end());
+        std::sort(words.begin(), words.end());
+    }
+    io.size(words, 16);
+    for (auto &[addr, word] : words) {
+        io.u64(addr);
+        io.u64(word);
+    }
+    if constexpr (IO::kReading) {
+        if (io.ok()) {
+            for (const auto &[addr, word] : words)
+                a.memTaint[addr] = word;
+        }
     }
 }
 
+template <class IO, class Params>
 void
-writeTaint(std::vector<std::uint8_t> &b, const ArchState &a)
+ioCacheParams(IO &io, Params &p)
 {
-    for (int r = 0; r < kNumArchRegs; ++r)
-        putU64(b, a.regTaint[r]);
-    for (int m = 0; m < kNumMsrRegs; ++m)
-        putU64(b, a.msrTaint[m]);
-    std::vector<std::pair<Addr, TaintWord>> sorted(a.memTaint.begin(),
-                                                   a.memTaint.end());
-    std::sort(sorted.begin(), sorted.end());
-    putU64(b, sorted.size());
-    for (const auto &[addr, word] : sorted) {
-        putU64(b, addr);
-        putU64(b, word);
+    io.str(p.name);
+    io.u64(p.sizeBytes);
+    io.u32(p.ways);
+    io.u32(p.lineBytes);
+    io.u32(p.hitLatency);
+}
+
+template <class IO, class Snap>
+void
+ioCacheSnap(IO &io, Snap &s)
+{
+    io.size(s.lines, 8 + 1 + 8);
+    for (auto &line : s.lines) {
+        io.u64(line.tag);
+        io.flag(line.valid);
+        io.u64(line.lastUse);
     }
+    io.u64(s.useClock);
+    io.u64(s.hits);
+    io.u64(s.misses);
+    io.u64(s.fills);
 }
 
+template <class IO, class Snap>
 void
-readTaint(Cursor &c, ArchState &a)
+ioHier(IO &io, Snap &snap)
 {
-    a.hasTaint = true;
-    for (int r = 0; r < kNumArchRegs; ++r)
-        a.regTaint[r] = c.u64();
-    for (int m = 0; m < kNumMsrRegs; ++m)
-        a.msrTaint[m] = c.u64();
-    const std::uint64_t n = c.count(16);
-    for (std::uint64_t i = 0; i < n && !c.failed; ++i) {
-        const Addr addr = c.u64();
-        const TaintWord word = c.u64();
-        if (!c.failed)
-            a.memTaint[addr] = word;
+    ioCacheParams(io, snap.memParams.l1i);
+    ioCacheParams(io, snap.memParams.l1d);
+    ioCacheParams(io, snap.memParams.l2);
+    io.u32(snap.memParams.dramLatency);
+    ioCacheSnap(io, snap.mem.l1i);
+    ioCacheSnap(io, snap.mem.l1d);
+    ioCacheSnap(io, snap.mem.l2);
+}
+
+template <class IO, class Snap>
+void
+ioPredictor(IO &io, Snap &snap)
+{
+    auto &p = snap.bpParams;
+    io.u32(p.direction.tableBits);
+    io.u32(p.direction.historyBits);
+    io.u32(p.btb.entries);
+    io.u32(p.btb.ways);
+    io.u32(p.btb.tagBits);
+    io.u32(p.rasEntries);
+
+    auto &d = snap.predictor.direction;
+    for (auto *table : {&d.gshare, &d.bimodal, &d.chooser}) {
+        io.size(*table, 1);
+        io.bytes(table->data(), table->size());
     }
-}
+    io.u64(d.history);
+    io.u64(d.predicts);
+    io.u64(d.gshareChosen);
 
-void
-writeCacheParams(std::vector<std::uint8_t> &b, const CacheParams &p)
-{
-    putString(b, p.name);
-    putU64(b, p.sizeBytes);
-    putU32(b, p.ways);
-    putU32(b, p.lineBytes);
-    putU32(b, p.hitLatency);
-}
-
-void
-readCacheParams(Cursor &c, CacheParams &p)
-{
-    p.name = c.str();
-    p.sizeBytes = c.u64();
-    p.ways = c.u32();
-    p.lineBytes = c.u32();
-    p.hitLatency = c.u32();
-}
-
-void
-writeCacheSnap(std::vector<std::uint8_t> &b, const Cache::Snapshot &s)
-{
-    putU64(b, s.lines.size());
-    for (const Cache::Line &line : s.lines) {
-        putU64(b, line.tag);
-        putU8(b, line.valid ? 1 : 0);
-        putU64(b, line.lastUse);
+    auto &t = snap.predictor.btb;
+    io.size(t.entries, 8 + 8 + 1 + 8);
+    for (auto &e : t.entries) {
+        io.u64(e.tag);
+        io.u64(e.target);
+        io.flag(e.valid);
+        io.u64(e.lastUse);
     }
-    putU64(b, s.useClock);
-    putU64(b, s.hits);
-    putU64(b, s.misses);
-    putU64(b, s.fills);
+    io.u64(t.useClock);
+    io.u64(t.hits);
+    io.u64(t.misses);
+    io.u64(t.updates);
+
+    auto &r = snap.predictor.ras;
+    io.size(r.stack, 8);
+    for (auto &a : r.stack)
+        io.u64(a);
+    io.u32(r.topIdx);
+    io.u64(r.pushes);
+    io.u64(r.pops);
 }
 
+template <class IO, class Threads>
 void
-readCacheSnap(Cursor &c, Cache::Snapshot &s)
-{
-    const std::uint64_t n = c.count(8 + 1 + 8);
-    s.lines.resize(c.failed ? 0 : n);
-    for (Cache::Line &line : s.lines) {
-        line.tag = c.u64();
-        line.valid = c.u8() != 0;
-        line.lastUse = c.u64();
-    }
-    s.useClock = c.u64();
-    s.hits = c.u64();
-    s.misses = c.u64();
-    s.fills = c.u64();
-}
-
-void
-writeHier(std::vector<std::uint8_t> &b, const SimSnapshot &snap)
-{
-    writeCacheParams(b, snap.memParams.l1i);
-    writeCacheParams(b, snap.memParams.l1d);
-    writeCacheParams(b, snap.memParams.l2);
-    putU32(b, snap.memParams.dramLatency);
-    writeCacheSnap(b, snap.mem.l1i);
-    writeCacheSnap(b, snap.mem.l1d);
-    writeCacheSnap(b, snap.mem.l2);
-}
-
-void
-readHier(Cursor &c, SimSnapshot &snap)
-{
-    snap.hasMem = true;
-    readCacheParams(c, snap.memParams.l1i);
-    readCacheParams(c, snap.memParams.l1d);
-    readCacheParams(c, snap.memParams.l2);
-    snap.memParams.dramLatency = c.u32();
-    readCacheSnap(c, snap.mem.l1i);
-    readCacheSnap(c, snap.mem.l1d);
-    readCacheSnap(c, snap.mem.l2);
-}
-
-void
-writePredictor(std::vector<std::uint8_t> &b, const SimSnapshot &snap)
-{
-    const PredictorParams &p = snap.bpParams;
-    putU32(b, p.direction.tableBits);
-    putU32(b, p.direction.historyBits);
-    putU32(b, p.btb.entries);
-    putU32(b, p.btb.ways);
-    putU32(b, p.btb.tagBits);
-    putU32(b, p.rasEntries);
-
-    const DirectionPredictor::Snapshot &d = snap.predictor.direction;
-    for (const std::vector<std::uint8_t> *table :
-         {&d.gshare, &d.bimodal, &d.chooser}) {
-        putU64(b, table->size());
-        putBytes(b, table->data(), table->size());
-    }
-    putU64(b, d.history);
-    putU64(b, d.predicts);
-    putU64(b, d.gshareChosen);
-
-    const Btb::Snapshot &t = snap.predictor.btb;
-    putU64(b, t.entries.size());
-    for (const Btb::Entry &e : t.entries) {
-        putU64(b, e.tag);
-        putU64(b, e.target);
-        putU8(b, e.valid ? 1 : 0);
-        putU64(b, e.lastUse);
-    }
-    putU64(b, t.useClock);
-    putU64(b, t.hits);
-    putU64(b, t.misses);
-    putU64(b, t.updates);
-
-    const Ras::Snapshot &r = snap.predictor.ras;
-    putU64(b, r.stack.size());
-    for (const Addr a : r.stack)
-        putU64(b, a);
-    putU32(b, r.topIdx);
-    putU64(b, r.pushes);
-    putU64(b, r.pops);
-}
-
-void
-readPredictor(Cursor &c, SimSnapshot &snap)
-{
-    snap.hasPredictor = true;
-    PredictorParams &p = snap.bpParams;
-    p.direction.tableBits = c.u32();
-    p.direction.historyBits = c.u32();
-    p.btb.entries = c.u32();
-    p.btb.ways = c.u32();
-    p.btb.tagBits = c.u32();
-    p.rasEntries = c.u32();
-
-    DirectionPredictor::Snapshot &d = snap.predictor.direction;
-    for (std::vector<std::uint8_t> *table :
-         {&d.gshare, &d.bimodal, &d.chooser}) {
-        const std::uint64_t n = c.count(1);
-        table->resize(c.failed ? 0 : n);
-        c.bytes(table->data(), table->size());
-    }
-    d.history = c.u64();
-    d.predicts = c.u64();
-    d.gshareChosen = c.u64();
-
-    Btb::Snapshot &t = snap.predictor.btb;
-    const std::uint64_t btb_n = c.count(8 + 8 + 1 + 8);
-    t.entries.resize(c.failed ? 0 : btb_n);
-    for (Btb::Entry &e : t.entries) {
-        e.tag = c.u64();
-        e.target = c.u64();
-        e.valid = c.u8() != 0;
-        e.lastUse = c.u64();
-    }
-    t.useClock = c.u64();
-    t.hits = c.u64();
-    t.misses = c.u64();
-    t.updates = c.u64();
-
-    Ras::Snapshot &r = snap.predictor.ras;
-    const std::uint64_t ras_n = c.count(8);
-    r.stack.resize(c.failed ? 0 : ras_n);
-    for (Addr &a : r.stack)
-        a = c.u64();
-    r.topIdx = c.u32();
-    r.pushes = c.u64();
-    r.pops = c.u64();
-}
-
-void
-writeThreads(std::vector<std::uint8_t> &b,
-             const std::vector<ArchState> &threads)
-{
-    putU64(b, threads.size());
-    for (const ArchState &t : threads) {
-        writeArch(b, t);
-        // Extra threads carry their own memory/taint maps only in
-        // principle (memory is shared, so they are empty in practice);
-        // serializing them keeps the round-trip contract exact.
-        writeMemMap(b, t.mem);
-        putU8(b, t.hasTaint ? 1 : 0);
-        if (t.hasTaint)
-            writeTaint(b, t);
-    }
-}
-
-void
-readThreads(Cursor &c, std::vector<ArchState> &threads)
+ioThreads(IO &io, Threads &threads)
 {
     // A thread record is at least the fixed-size arch block plus the
-    // page count and taint flag.
-    const std::uint64_t n = c.count(
-        (kNumArchRegs + 4 + kNumMsrRegs) * 8 + 1 + 8 + 1);
-    for (std::uint64_t i = 0; i < n && !c.failed; ++i) {
-        ArchState t{};
-        readArch(c, t);
-        readMemMap(c, t.mem);
-        const bool has_taint = c.u8() != 0;
-        if (has_taint)
-            readTaint(c, t);
-        t.hasTaint = has_taint;
-        if (!c.failed)
-            threads.push_back(std::move(t));
+    // page count and taint flag. Extra threads carry their own
+    // memory/taint maps only in principle (memory is shared, so they
+    // are empty in practice); serializing them keeps the round-trip
+    // contract exact.
+    io.size(threads, (kNumArchRegs + 4 + kNumMsrRegs) * 8 + 1 + 8 + 1);
+    for (auto &t : threads) {
+        ioArch(io, t);
+        ioMemMap(io, t.mem);
+        io.flag(t.hasTaint);
+        if (t.hasTaint)
+            ioTaint(io, t);
     }
 }
 
+/**
+ * One section's payload, either direction. An optional section's
+ * presence in the file is what sets its snapshot flag on read.
+ */
+template <class IO, class Snap>
 void
-appendSection(std::vector<std::uint8_t> &out, std::uint32_t id,
-              const std::vector<std::uint8_t> &payload)
+ioSection(IO &io, SectionId id, Snap &snap)
 {
-    putU32(out, id);
-    putU64(out, payload.size());
-    putU32(out, crc32(payload.data(), payload.size()));
-    putBytes(out, payload.data(), payload.size());
+    switch (id) {
+      case kArchSection:
+        ioArch(io, snap.arch);
+        break;
+      case kMemMapSection:
+        ioMemMap(io, snap.arch.mem);
+        break;
+      case kTaintSection:
+        io.present(snap.arch.hasTaint);
+        ioTaint(io, snap.arch);
+        break;
+      case kHierSection:
+        io.present(snap.hasMem);
+        ioHier(io, snap);
+        break;
+      case kPredictorSection:
+        io.present(snap.hasPredictor);
+        ioPredictor(io, snap);
+        break;
+      case kThreadsSection:
+        ioThreads(io, snap.extraThreads);
+        break;
+    }
 }
+
+/**
+ * The section list, in file order. The writer emits each section
+ * whose presence test holds; the reader accepts exactly these ids.
+ */
+struct Section {
+    SectionId id;
+    bool (*present)(const SimSnapshot &);
+};
+
+constexpr Section kSections[] = {
+    {kArchSection, [](const SimSnapshot &) { return true; }},
+    {kMemMapSection, [](const SimSnapshot &) { return true; }},
+    {kTaintSection,
+     [](const SimSnapshot &s) { return s.arch.hasTaint; }},
+    {kHierSection, [](const SimSnapshot &s) { return s.hasMem; }},
+    {kPredictorSection,
+     [](const SimSnapshot &s) { return s.hasPredictor; }},
+    {kThreadsSection,
+     [](const SimSnapshot &s) { return !s.extraThreads.empty(); }},
+};
 
 } // namespace
 
@@ -514,51 +456,29 @@ void
 CkptWriter::put(const SimSnapshot &snap)
 {
     buf_.clear();
+    Appender out{buf_};
 
-    std::uint32_t sections = 2; // ARCH + MEMMAP, always present
-    if (snap.arch.hasTaint)
-        ++sections;
-    if (snap.hasMem)
-        ++sections;
-    if (snap.hasPredictor)
-        ++sections;
+    std::uint32_t sections = 0;
+    for (const Section &s : kSections)
+        sections += s.present(snap) ? 1 : 0;
     // SMT contexts force schema v2; without them the output is
     // byte-identical to a v1 file (backward-compatible corpus).
-    const bool smt = !snap.extraThreads.empty();
-    if (smt)
-        ++sections;
-
-    putU64(buf_, kMagic);
-    putU32(buf_, smt ? kSchemaVersionSmt : kSchemaVersion);
-    putU32(buf_, sections);
+    out.u64(kMagic);
+    out.u32(snap.extraThreads.empty() ? kSchemaVersion
+                                      : kSchemaVersionSmt);
+    out.u32(sections);
 
     std::vector<std::uint8_t> payload;
-    writeArch(payload, snap.arch);
-    appendSection(buf_, kArchSection, payload);
-
-    payload.clear();
-    writeMemMap(payload, snap.arch.mem);
-    appendSection(buf_, kMemMapSection, payload);
-
-    if (snap.arch.hasTaint) {
+    for (const Section &s : kSections) {
+        if (!s.present(snap))
+            continue;
         payload.clear();
-        writeTaint(payload, snap.arch);
-        appendSection(buf_, kTaintSection, payload);
-    }
-    if (snap.hasMem) {
-        payload.clear();
-        writeHier(payload, snap);
-        appendSection(buf_, kHierSection, payload);
-    }
-    if (snap.hasPredictor) {
-        payload.clear();
-        writePredictor(payload, snap);
-        appendSection(buf_, kPredictorSection, payload);
-    }
-    if (smt) {
-        payload.clear();
-        writeThreads(payload, snap.extraThreads);
-        appendSection(buf_, kThreadsSection, payload);
+        Appender section{payload};
+        ioSection(section, s.id, snap);
+        out.u32(s.id);
+        out.u64(payload.size());
+        out.u32(crc32(payload.data(), payload.size()));
+        out.bytes(payload.data(), payload.size());
     }
 }
 
@@ -588,17 +508,21 @@ CkptReader::parse(const std::uint8_t *data, std::size_t len,
     out = SimSnapshot{};
 
     Cursor header{data, len};
-    if (header.u64() != kMagic) {
+    std::uint64_t magic = 0;
+    header.u64(magic);
+    if (magic != kMagic) {
         error_ = header.failed ? header.error : "bad magic";
         return false;
     }
-    const std::uint32_t version = header.u32();
+    std::uint32_t version = 0;
+    header.u32(version);
     if (!header.failed && version != kSchemaVersion &&
         version != kSchemaVersionSmt) {
         error_ = "unsupported schema version " + std::to_string(version);
         return false;
     }
-    const std::uint32_t sections = header.u32();
+    std::uint32_t sections = 0;
+    header.u32(sections);
     if (header.failed) {
         error_ = header.error;
         return false;
@@ -606,9 +530,12 @@ CkptReader::parse(const std::uint8_t *data, std::size_t len,
 
     bool saw_arch = false;
     for (std::uint32_t s = 0; s < sections; ++s) {
-        const std::uint32_t id = header.u32();
-        const std::uint64_t plen = header.u64();
-        const std::uint32_t want_crc = header.u32();
+        std::uint32_t id = 0;
+        std::uint64_t plen = 0;
+        std::uint32_t want_crc = 0;
+        header.u32(id);
+        header.u64(plen);
+        header.u32(want_crc);
         if (header.failed || len - header.pos < plen) {
             error_ = "truncated section " + std::to_string(id);
             return false;
@@ -620,35 +547,20 @@ CkptReader::parse(const std::uint8_t *data, std::size_t len,
             return false;
         }
 
-        Cursor c{payload, static_cast<std::size_t>(plen)};
-        switch (id) {
-          case kArchSection:
-            readArch(c, out.arch);
-            saw_arch = true;
-            break;
-          case kMemMapSection:
-            readMemMap(c, out.arch.mem);
-            break;
-          case kTaintSection:
-            readTaint(c, out.arch);
-            break;
-          case kHierSection:
-            readHier(c, out);
-            break;
-          case kPredictorSection:
-            readPredictor(c, out);
-            break;
-          case kThreadsSection:
-            if (version < kSchemaVersionSmt) {
-                error_ = "THREADS section in a v1 file";
-                return false;
-            }
-            readThreads(c, out.extraThreads);
-            break;
-          default:
+        const bool known = std::any_of(
+            std::begin(kSections), std::end(kSections),
+            [id](const Section &k) { return k.id == id; });
+        if (!known) {
             error_ = "unknown section id " + std::to_string(id);
             return false;
         }
+        if (id == kThreadsSection && version < kSchemaVersionSmt) {
+            error_ = "THREADS section in a v1 file";
+            return false;
+        }
+        Cursor c{payload, static_cast<std::size_t>(plen)};
+        ioSection(c, static_cast<SectionId>(id), out);
+        saw_arch |= id == kArchSection;
         if (c.failed) {
             error_ = "section " + std::to_string(id) + ": " + c.error;
             return false;

@@ -1,6 +1,9 @@
 #include "common/thread_pool.hh"
 
 #include <algorithm>
+#include <system_error>
+
+#include "common/log.hh"
 
 namespace nda {
 
@@ -14,9 +17,17 @@ ThreadPool::ThreadPool(unsigned concurrency)
 {
     if (concurrency == 0)
         concurrency = defaultConcurrency();
-    threads_.reserve(concurrency - 1);
-    for (unsigned i = 0; i + 1 < concurrency; ++i)
-        threads_.emplace_back([this] { workerLoop(); });
+    for (unsigned i = 0; i + 1 < concurrency; ++i) {
+        try {
+            threads_.emplace_back([this] { workerLoop(); });
+        } catch (const std::system_error &e) {
+            // Out of threads (RLIMIT_NPROC, memory): run with the lanes
+            // already started. Results never depend on the lane count.
+            NDA_WARN("thread pool: started %u of %u lanes (%s)",
+                     this->concurrency(), concurrency, e.what());
+            break;
+        }
+    }
 }
 
 ThreadPool::~ThreadPool()

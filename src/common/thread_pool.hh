@@ -32,7 +32,9 @@ class ThreadPool
     /**
      * @param concurrency total concurrent lanes, including the thread
      *        that calls parallelFor() (which participates in the
-     *        work). 0 is treated as defaultConcurrency().
+     *        work). 0 is treated as defaultConcurrency(). If the
+     *        host cannot start that many threads, the pool warns once
+     *        and runs with the lanes it did start.
      */
     explicit ThreadPool(unsigned concurrency);
     ~ThreadPool();

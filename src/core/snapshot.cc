@@ -65,12 +65,18 @@ SimSnapshot::structurallyCompatible(const SimConfig &cfg) const
     return true;
 }
 
+namespace {
+
+/**
+ * Build and extend in one body: set up the warming interpreter, resume
+ * it from `base` (or start at the program entry when `base` is null),
+ * run to `target_insts` retired instructions, and snapshot it.
+ */
 SimSnapshot
-buildWarmCheckpoint(const Program &prog,
-                    const HierarchyParams &mem_params,
-                    const PredictorParams &bp_params,
-                    std::uint64_t ff_insts, TaintEngine *dift,
-                    WarmingWork *warm_work)
+fastForward(const Program &prog, const HierarchyParams &mem_params,
+            const PredictorParams &bp_params, const SimSnapshot *base,
+            std::uint64_t target_insts, TaintEngine *dift,
+            WarmingWork *warm_work)
 {
     Interpreter interp(prog);
     MemHierarchy hier(mem_params);
@@ -78,15 +84,23 @@ buildWarmCheckpoint(const Program &prog,
     interp.attachWarming(&hier, &bp);
     if (dift)
         interp.attachDift(dift);
+    if (base) {
+        // Attachments first, so restore() re-applies captured taint
+        // to the DIFT engine.
+        interp.restore(base->arch);
+        hier.restore(base->mem);
+        bp.restore(base->predictor);
+    }
 
-    const std::uint64_t executed = interp.run(ff_insts);
+    const std::uint64_t start = interp.instCount();
+    const std::uint64_t executed = interp.runTo(target_insts);
     if (warm_work)
         *warm_work += interp.warmingWork();
     NDA_ASSERT(!interp.halted(),
                "program halted after %llu of %llu fast-forward "
                "instructions — window placement runs off the end",
                static_cast<unsigned long long>(executed),
-               static_cast<unsigned long long>(ff_insts));
+               static_cast<unsigned long long>(target_insts - start));
 
     SimSnapshot snap;
     snap.arch = interp.save();
@@ -97,6 +111,19 @@ buildWarmCheckpoint(const Program &prog,
     snap.predictor = bp.save();
     snap.bpParams = bp_params;
     return snap;
+}
+
+} // namespace
+
+SimSnapshot
+buildWarmCheckpoint(const Program &prog,
+                    const HierarchyParams &mem_params,
+                    const PredictorParams &bp_params,
+                    std::uint64_t ff_insts, TaintEngine *dift,
+                    WarmingWork *warm_work)
+{
+    return fastForward(prog, mem_params, bp_params, nullptr, ff_insts,
+                       dift, warm_work);
 }
 
 SimSnapshot
@@ -112,40 +139,8 @@ extendWarmCheckpoint(const Program &prog, const SimSnapshot &base,
                "%llu retired instructions",
                static_cast<unsigned long long>(target_insts),
                static_cast<unsigned long long>(base.arch.instCount));
-
-    // Reassemble the fast-forward machine exactly as buildWarmCheckpoint
-    // left it: same geometry, same warming state, same architectural
-    // state (attachments first, so restore() re-applies captured
-    // taint to the DIFT engine).
-    Interpreter interp(prog);
-    MemHierarchy hier(base.memParams);
-    PredictorUnit bp(base.bpParams);
-    interp.attachWarming(&hier, &bp);
-    if (dift)
-        interp.attachDift(dift);
-    interp.restore(base.arch);
-    hier.restore(base.mem);
-    bp.restore(base.predictor);
-
-    const std::uint64_t executed = interp.runTo(target_insts);
-    if (warm_work)
-        *warm_work += interp.warmingWork();
-    NDA_ASSERT(!interp.halted(),
-               "program halted after %llu of the %llu-instruction "
-               "extension — window placement runs off the end",
-               static_cast<unsigned long long>(executed),
-               static_cast<unsigned long long>(target_insts -
-                                               base.arch.instCount));
-
-    SimSnapshot snap;
-    snap.arch = interp.save();
-    snap.hasMem = true;
-    snap.mem = hier.save();
-    snap.memParams = base.memParams;
-    snap.hasPredictor = true;
-    snap.predictor = bp.save();
-    snap.bpParams = base.bpParams;
-    return snap;
+    return fastForward(prog, base.memParams, base.bpParams, &base,
+                       target_insts, dift, warm_work);
 }
 
 } // namespace nda

@@ -1,8 +1,11 @@
 #include "harness/grid_service.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "common/thread_pool.hh"
@@ -283,17 +286,31 @@ struct RequestError {
     std::string message;
 };
 
-/** Field extractors: wrong type is a protocol error, not a default. */
-std::uint64_t
-u64Field(const JsonValue &req, const char *key, std::uint64_t dflt)
+/**
+ * Field extractors: wrong type is a protocol error, not a default. A
+ * number must also be an integer that fits `T` exactly: a fraction or
+ * a value past the type's range is an error, never truncated.
+ */
+template <class T>
+T
+uintField(const JsonValue &req, const char *key, T dflt)
 {
     const JsonValue *v = req.find(key);
     if (!v)
         return dflt;
-    if (v->kind != JsonValue::Kind::kNumber || v->number < 0)
+    if (v->kind != JsonValue::Kind::kNumber || !(v->number >= 0))
         throw RequestError{std::string("field '") + key +
                            "' must be a non-negative number"};
-    return static_cast<std::uint64_t>(v->number);
+    // Above 2^53 a double may already be a rounded neighbour of the
+    // integer the client sent.
+    constexpr std::uint64_t kMax = std::min<std::uint64_t>(
+        std::numeric_limits<T>::max(), (std::uint64_t{1} << 53) - 1);
+    if (v->number > static_cast<double>(kMax) ||
+        std::trunc(v->number) != v->number)
+        throw RequestError{std::string("field '") + key +
+                           "' must be an integer no larger than " +
+                           std::to_string(kMax)};
+    return static_cast<T>(v->number);
 }
 
 bool
@@ -365,28 +382,19 @@ GridService::handleRequest(const std::string &request_line,
     std::vector<SimConfig> configs;
     std::vector<Profile> profiles;
     try {
-        p.fastforwardInsts = u64Field(req, "fastforward", 0);
-        p.warmupInsts = u64Field(req, "warmup", p.warmupInsts);
-        p.measureInsts = u64Field(req, "measure", p.measureInsts);
-        p.samples =
-            static_cast<unsigned>(u64Field(req, "samples", p.samples));
-        p.baseSeed = u64Field(req, "seed", p.baseSeed);
-        p.jobs = static_cast<unsigned>(u64Field(req, "jobs", 0));
+        p.fastforwardInsts =
+            uintField<std::uint64_t>(req, "fastforward", 0);
+        p.warmupInsts = uintField(req, "warmup", p.warmupInsts);
+        p.measureInsts = uintField(req, "measure", p.measureInsts);
+        p.samples = uintField(req, "samples", p.samples);
+        p.baseSeed = uintField(req, "seed", p.baseSeed);
+        p.jobs = uintField(req, "jobs", 0u);
         if (p.jobs == 0)
             p.jobs = ThreadPool::defaultConcurrency();
         p.chainSamples = boolField(req, "chain", false);
         p.cpiStack = boolField(req, "cpi_stack", false);
-
-        // SampleParams::validate() is NDA_FATAL — re-check its
-        // conditions here so a bad request degrades to an error line
-        // instead of killing the server.
-        if (p.samples == 0)
-            throw RequestError{"'samples' must be >= 1"};
-        if (p.measureInsts == 0)
-            throw RequestError{"'measure' must be >= 1"};
-        if (p.chainSamples && p.fastforwardInsts == 0)
-            throw RequestError{
-                "'chain' needs a nonzero 'fastforward' stride"};
+        if (const std::string why = p.problem(); !why.empty())
+            throw RequestError{why};
 
         const std::vector<std::string> wl_names =
             nameListField(req, "workloads");

@@ -86,6 +86,11 @@ struct GridServiceStats {
  *    "cpi_stack": false}          // attach the causal CPI-stack
  *                                 // profiler to every window
  *
+ * A number must be a non-negative integer that fits its field
+ * exactly: below 2^32 for `samples` and `jobs`, below 2^53 for the
+ * rest. A fraction or a larger value gets an error line, never a
+ * truncated or rounded value.
+ *
  * Response lines (one JSON object per line, in request order):
  *
  *   {"type":"progress","id":..,"done":N,"total":M}

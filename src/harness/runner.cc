@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <mutex>
+#include <optional>
 
 #include "common/log.hh"
 #include "common/stats_util.hh"
@@ -15,19 +16,27 @@
 
 namespace nda {
 
+std::string
+SampleParams::problem() const
+{
+    if (samples == 0)
+        return "samples is 0 — at least one sample window is required "
+               "to measure anything";
+    if (measureInsts == 0)
+        return "measureInsts is 0 — an empty measured window would "
+               "report CPI over zero instructions";
+    if (chainSamples && fastforwardInsts == 0)
+        return "chainSamples needs fastforwardInsts > 0 — chained "
+               "sampling places windows at multiples of the "
+               "fast-forward stride";
+    return {};
+}
+
 void
 SampleParams::validate() const
 {
-    if (samples == 0)
-        NDA_FATAL("SampleParams::samples is 0 — at least one sample "
-                  "window is required to measure anything");
-    if (measureInsts == 0)
-        NDA_FATAL("SampleParams::measureInsts is 0 — an empty measured "
-                  "window would report CPI over zero instructions");
-    if (chainSamples && fastforwardInsts == 0)
-        NDA_FATAL("SampleParams::chainSamples needs fastforwardInsts "
-                  "> 0 — chained sampling places windows at multiples "
-                  "of the fast-forward stride");
+    if (const std::string why = problem(); !why.empty())
+        NDA_FATAL("SampleParams::%s", why.c_str());
 }
 
 void
@@ -126,10 +135,11 @@ runWindow(const Workload &workload, const SimConfig &cfg,
         if (ckpt != nullptr && ckpt->structurallyCompatible(cfg)) {
             core->restoreCheckpoint(*ckpt);
         } else {
-            // No shared checkpoint (legacy path) or its warming state
-            // does not fit this config's geometry: fast-forward for
-            // this window alone. Same deterministic procedure either
-            // way, so results never depend on which path ran.
+            // No shared checkpoint (the per-window reference the
+            // tests hold runGrid to) or its warming state does not
+            // fit this config's geometry: fast-forward for this
+            // window alone. Same deterministic procedure either way,
+            // so results never depend on which path ran.
             WarmingWork warm;
             const SimSnapshot own = buildWarmCheckpoint(
                 prog, cfg.memory, cfg.core.predictor,
@@ -248,11 +258,9 @@ RunResult
 runSampled(const Workload &workload, const SimConfig &cfg,
            const SampleParams &p)
 {
-    SampleParams q = p;
-    q.jobs = std::min<unsigned>(std::max(1u, p.jobs), p.samples);
     const std::vector<const Workload *> ws{&workload};
     const std::vector<SimConfig> cs{cfg};
-    return runGrid(ws, cs, q).front();
+    return runGrid(ws, cs, p).front();
 }
 
 namespace {
@@ -313,6 +321,12 @@ runGrid(const std::vector<const Workload *> &workloads,
                    ? p.baseSeed
                    : p.baseSeed + static_cast<std::uint64_t>(sample);
     };
+    // Worker lanes for a phase of `tasks` tasks: `jobs`, but never
+    // more lanes than tasks, so a huge `jobs` spawns no idle threads.
+    const auto lanes = [&p](std::size_t tasks) {
+        return static_cast<unsigned>(std::max<std::size_t>(
+            1, std::min<std::size_t>(p.jobs, tasks)));
+    };
 
     // Phase 1: one warming checkpoint per (workload, sample), built
     // with the first config's geometry and shared across profiles.
@@ -337,64 +351,45 @@ runGrid(const std::vector<const Workload *> &workloads,
         const std::uint64_t geom_fp = geometryFingerprint(
             configs[0].memory, configs[0].core.predictor);
 
-        if (p.chainSamples) {
-            // One serial chain per workload; workloads in parallel.
-            ThreadPool ff_pool(std::max(1u, p.jobs));
-            ff_pool.parallelFor(workloads.size(), [&](std::size_t w) {
-                const Program prog = workloads[w]->build(p.baseSeed);
-                const SimSnapshot *prev = nullptr;
-                for (unsigned s = 0; s < p.samples; ++s) {
-                    const std::size_t task = w * p.samples + s;
-                    const std::uint64_t target = window_ff(s);
-                    const CkptKey key{workloads[w]->name(), p.baseSeed,
-                                      target, geom_fp};
-                    if (!corpusLoad(corpus, key, configs[0],
-                                    checkpoints[task],
-                                    &corpus_bytes[task])) {
-                        checkpoints[task] =
-                            prev ? extendWarmCheckpoint(
-                                       prog, *prev, target, nullptr,
-                                       &warm[task])
-                                 : buildWarmCheckpoint(
-                                       prog, configs[0].memory,
-                                       configs[0].core.predictor,
-                                       target, nullptr, &warm[task]);
-                        ff_insts[task] =
-                            target -
-                            (prev ? prev->arch.instCount : 0);
-                        built[task] = 1;
-                        if (corpus)
-                            corpus_bytes[task] += corpus->store(
-                                key, checkpoints[task]);
-                    }
-                    prev = &checkpoints[task];
-                }
-            });
-        } else {
-            ThreadPool ff_pool(std::max(1u, p.jobs));
-            ff_pool.parallelFor(n_ckpts, [&](std::size_t task) {
+        // One loop over fast-forward chains: chained sampling runs W
+        // chains of S links, independent sampling W*S chains of one
+        // link. Each link is a corpus hit, or else extends the
+        // previous link (builds from scratch for the first) and
+        // publishes the result.
+        const std::size_t links = p.chainSamples ? p.samples : 1;
+        const std::size_t n_chains = n_ckpts / links;
+        ThreadPool ff_pool(lanes(n_chains));
+        ff_pool.parallelFor(n_chains, [&](std::size_t chain) {
+            std::optional<Program> prog;
+            const SimSnapshot *prev = nullptr;
+            for (std::size_t link = 0; link < links; ++link) {
+                const std::size_t task = chain * links + link;
                 const std::size_t w = task / p.samples;
                 const std::size_t sample = task % p.samples;
-                const Program prog =
-                    workloads[w]->build(window_seed(sample));
+                const std::uint64_t target = window_ff(sample);
                 const CkptKey key{workloads[w]->name(),
-                                  window_seed(sample),
-                                  p.fastforwardInsts, geom_fp};
+                                  window_seed(sample), target, geom_fp};
                 if (!corpusLoad(corpus, key, configs[0],
-                                checkpoints[task],
-                                &corpus_bytes[task])) {
-                    checkpoints[task] = buildWarmCheckpoint(
-                        prog, configs[0].memory,
-                        configs[0].core.predictor, p.fastforwardInsts,
-                        nullptr, &warm[task]);
-                    ff_insts[task] = p.fastforwardInsts;
+                                checkpoints[task], &corpus_bytes[task])) {
+                    if (!prog)
+                        prog = workloads[w]->build(window_seed(sample));
+                    checkpoints[task] =
+                        prev ? extendWarmCheckpoint(*prog, *prev, target,
+                                                    nullptr, &warm[task])
+                             : buildWarmCheckpoint(
+                                   *prog, configs[0].memory,
+                                   configs[0].core.predictor, target,
+                                   nullptr, &warm[task]);
+                    ff_insts[task] =
+                        target - (prev ? prev->arch.instCount : 0);
                     built[task] = 1;
                     if (corpus)
                         corpus_bytes[task] +=
                             corpus->store(key, checkpoints[task]);
                 }
-            });
-        }
+                prev = &checkpoints[task];
+            }
+        });
         if (stats) {
             for (std::size_t task = 0; task < n_ckpts; ++task) {
                 stats->ffRuns += built[task];
@@ -420,7 +415,7 @@ runGrid(const std::vector<const Workload *> &workloads,
     std::size_t done = 0;
     {
         ScopedTimer t(timings, "detailed");
-        ThreadPool pool(std::max(1u, p.jobs));
+        ThreadPool pool(lanes(total));
         pool.parallelFor(total, [&](std::size_t task) {
             const std::size_t cell = task / p.samples;
             const std::size_t sample = task % p.samples;

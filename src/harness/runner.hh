@@ -41,6 +41,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "core/core_config.hh"
@@ -90,9 +91,14 @@ struct SampleParams {
      */
     bool cpiStack = false;
 
-    /** NDA_FATAL on parameters that cannot produce a measurement
-     *  (zero samples, an empty measured window, or chained sampling
-     *  without a stride). */
+    /**
+     * Why these parameters cannot produce a measurement (zero
+     * samples, an empty measured window, or chained sampling without
+     * a stride); empty when they can.
+     */
+    std::string problem() const;
+
+    /** NDA_FATAL with problem() when it is non-empty. */
     void validate() const;
 };
 
@@ -214,9 +220,9 @@ RunResult runSampled(const Workload &workload, const SimConfig &cfg,
 /**
  * Sweep a full workload x config grid in three phases: build one
  * checkpoint per (workload, sample), shared across profiles, then
- * dispatch every (cell, sample) window to a
- * pool of `p.jobs` lanes. Cell results are returned in row-major
- * order: result[w * configs.size() + c].
+ * dispatch every (cell, sample) window to a pool of `p.jobs` lanes
+ * (fewer when a phase has fewer tasks), then reduce. Cell results
+ * are returned in row-major order: result[w * configs.size() + c].
  *
  * `progress`, if set, is invoked after each *measured* window
  * completes with (windows done so far, total windows); fast-forwards

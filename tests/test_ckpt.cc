@@ -296,6 +296,60 @@ TEST(CkptSerializer, RejectsThreadsSectionInV1File)
 }
 
 // --------------------------------------------------------------------------
+// Serializer: the byte format is pinned
+// --------------------------------------------------------------------------
+
+/** FNV-1a of a serialized image. */
+std::uint64_t
+imageHash(const SimSnapshot &snap)
+{
+    CkptWriter writer;
+    writer.put(snap);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::uint8_t b : writer.bytes()) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(CkptSerializer, BytesMatchPinnedFormat)
+{
+    // Every corpus on disk holds images in this format, so the writer
+    // must keep producing exactly these bytes: a change to any
+    // section's field order or width shows up here, and must come
+    // with a schema-version bump instead of a new hash.
+    const Program hashjoin = makeWorkload("hashjoin")->build(9);
+    SecretMap secrets;
+    secrets.addMemRange(hashjoin.data.front().base, 64, "key");
+    TaintEngine dift(secrets);
+    const SimConfig ooo = makeProfile(Profile::kOoo);
+    const SimSnapshot tainted = buildWarmCheckpoint(
+        hashjoin, ooo.memory, ooo.core.predictor, 6'000, &dift);
+
+    const Program branchy = makeWorkload("branchy")->build(4);
+    auto core = makeCore(branchy, ooo);
+    core->restoreCheckpoint(buildWarmCheckpoint(
+        branchy, ooo.memory, ooo.core.predictor, 4'000));
+    core->run(2'000, ~Cycle{0});
+    SimSnapshot ooo_core;
+    core->saveCheckpoint(ooo_core);
+
+    Interpreter interp(makeWorkload("crc")->build(2));
+    interp.run(3'000);
+    SimSnapshot arch_only;
+    arch_only.arch = interp.save();
+
+    EXPECT_EQ(imageHash(tainted), 0x74c36371bdba5fb9ULL)
+        << "interpreter + taint";
+    EXPECT_EQ(imageHash(ooo_core), 0x9e737a150b1b3101ULL) << "OoO core";
+    EXPECT_EQ(imageHash(smtCheckpoint()), 0x380e57dce36c80b6ULL)
+        << "smt=2 (schema v2)";
+    EXPECT_EQ(imageHash(arch_only), 0xd7133bf896b64f12ULL)
+        << "arch only";
+}
+
+// --------------------------------------------------------------------------
 // Serializer: corruption never crashes, always rejects
 // --------------------------------------------------------------------------
 

@@ -167,6 +167,12 @@ TEST(GridService, RejectsBadRequestsWithErrorLinesAndSurvives)
         {R"({"samples":"three"})", "non-negative number"},
         {R"({"workloads":"compute"})", "array of strings"},
         {R"({"chain":1})", "boolean"},
+        {R"({"samples":4294967297})", "integer"},
+        {R"({"samples":1.9})", "integer"},
+        {R"({"jobs":4294967296})", "integer"},
+        {R"({"seed":1e20})", "integer"},
+        {R"({"seed":9007199254740993})", "integer"},
+        {R"({"measure":-1})", "non-negative number"},
     };
     for (const auto &c : cases) {
         Captured cap;
@@ -186,6 +192,43 @@ TEST(GridService, RejectsBadRequestsWithErrorLinesAndSurvives)
     // The service still serves real work afterwards.
     Captured cap;
     EXPECT_TRUE(service.handleRequest(kSmallRequest, cap.emit()));
+    EXPECT_EQ(cap.ofType("done").size(), 1u);
+}
+
+TEST(GridService, AnswersEveryMutatedRequestWithOneErrorOrDone)
+{
+    // The checkpoint reader's corruption tests, applied to the request
+    // path: every truncation of a small valid request, and every byte
+    // of it XOR 0x01 (which turns digits into neighbouring digits, so
+    // numbers, keys and names all move). Each mutated line gets
+    // exactly one error line or a normal done line, and the service
+    // still serves the clean request afterwards.
+    const std::string clean =
+        R"({"id":"f","workloads":["compute"],"profiles":["OoO"],)"
+        R"("fastforward":2000,"warmup":100,"measure":500,"samples":1,)"
+        R"("jobs":1,"chain":true})";
+    std::vector<std::string> mutants;
+    for (std::size_t len = 0; len < clean.size(); ++len)
+        mutants.push_back(clean.substr(0, len));
+    for (std::size_t i = 0; i < clean.size(); ++i) {
+        mutants.push_back(clean);
+        mutants.back()[i] ^= 0x01;
+    }
+
+    GridService service;
+    for (const std::string &request : mutants) {
+        Captured cap;
+        if (service.handleRequest(request, cap.emit())) {
+            EXPECT_EQ(cap.ofType("error").size(), 0u) << request;
+            EXPECT_EQ(cap.ofType("done").size(), 1u) << request;
+        } else {
+            ASSERT_EQ(cap.lines.size(), 1u) << request;
+            EXPECT_EQ(cap.ofType("error").size(), 1u) << request;
+        }
+    }
+
+    Captured cap;
+    EXPECT_TRUE(service.handleRequest(clean, cap.emit()));
     EXPECT_EQ(cap.ofType("done").size(), 1u);
 }
 

@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
 #include <vector>
+
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include "common/thread_pool.hh"
 #include "harness/profiles.hh"
@@ -87,6 +91,43 @@ TEST(ThreadPool, ExceptionOnSerialPathToo)
     EXPECT_THROW(pool.parallelFor(
                      3, [](std::size_t) { throw std::logic_error("x"); }),
                  std::logic_error);
+}
+
+/**
+ * Death-test child body: a 4096-lane pool under a 64-process limit.
+ * Drops root first, because the kernel exempts root from
+ * RLIMIT_NPROC. Exits 0 iff every task ran and the pool has fewer
+ * lanes than asked for. The alarm turns a hang into a failure: a pool
+ * that throws out of its constructor blocks destroying the condition
+ * variable its started workers wait on.
+ */
+[[noreturn]] void
+runPoolUnderProcessLimit()
+{
+    ::alarm(30);
+    if (::geteuid() == 0 &&
+        (::setgid(65534) != 0 || ::setuid(65534) != 0))
+        std::_Exit(2);
+    const rlimit lim{64, 64};
+    if (::setrlimit(RLIMIT_NPROC, &lim) != 0)
+        std::_Exit(3);
+    bool ok = false;
+    {
+        ThreadPool pool(4096);
+        std::atomic<std::size_t> sum{0};
+        pool.parallelFor(1000, [&](std::size_t i) { sum += i; });
+        ok = sum.load() == 999u * 1000u / 2u &&
+             pool.concurrency() < 4096;
+    }
+    std::_Exit(ok ? 0 : 1);
+}
+
+TEST(ThreadPoolDeathTest, RunsWithTheLanesTheHostCanStart)
+{
+    // Asked for more lanes than the process may start threads, the
+    // pool warns and runs every task on the lanes it got.
+    EXPECT_EXIT(runPoolUnderProcessLimit(), testing::ExitedWithCode(0),
+                "thread pool: started");
 }
 
 // --------------------------------------------------------------------------
