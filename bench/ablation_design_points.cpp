@@ -184,6 +184,7 @@ main(int argc, char **argv)
     }
 
     ablation_timer.stop();
-    emitBenchObs(obs, "ablation_design_points", Profile::kStrict, sp);
+    emitBenchObs(obs, "ablation_design_points",
+                 makeProfile(Profile::kStrict), sp);
     return 0;
 }

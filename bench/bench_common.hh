@@ -7,6 +7,7 @@
 #define NDASIM_BENCH_BENCH_COMMON_HH
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -213,6 +214,43 @@ struct BenchSmt {
     }
 };
 
+/** One grid column's CPI stack, pooled over workloads. */
+struct PooledCpi {
+    /** Cause c contributes slots_c / (width x insts) cycles per
+     *  instruction, so the entries sum exactly to `cpi`. */
+    std::array<double, kNumStallCauses> contrib{};
+    double cpi = 0.0; ///< pooled cycles / pooled instructions
+};
+
+/** Pool column `col` of a workload-major grid of `ncols` configs
+ *  (cell = workload x ncols + col), summing in workload order. */
+inline PooledCpi
+pooledCpi(const std::vector<RunResult> &grid, std::size_t ncols,
+          std::size_t col)
+{
+    std::array<std::uint64_t, kNumStallCauses> slots{};
+    std::uint64_t insts = 0;
+    std::uint64_t cycles = 0;
+    unsigned width = 0;
+    for (std::size_t i = col; i < grid.size(); i += ncols) {
+        const WindowStats &w = grid[i].mean;
+        for (int c = 0; c < kNumStallCauses; ++c)
+            slots[c] += w.slotStack[c];
+        insts += w.instructions;
+        cycles += w.cycles;
+        width = w.slotWidth;
+    }
+    PooledCpi out;
+    const double den =
+        static_cast<double>(width) * static_cast<double>(insts);
+    for (int c = 0; c < kNumStallCauses; ++c)
+        out.contrib[c] = den ? static_cast<double>(slots[c]) / den : 0.0;
+    out.cpi = insts ? static_cast<double>(cycles) /
+                          static_cast<double>(insts)
+                    : 0.0;
+    return out;
+}
+
 /** `\r`-style progress meter for grid sweeps (stderr; silenced by
  *  --quiet). */
 inline void
@@ -248,12 +286,15 @@ writeBenchFile(const std::string &path, const std::string &content)
 
 /**
  * Emit the requested observability artifacts by running one
- * *representative instrumented window*: a fresh core on `profile`
- * with every component bound into a StatsRegistry and (if a trace was
+ * *representative instrumented window*: a fresh core on `cfg` with
+ * every component bound into a StatsRegistry and (if a trace was
  * requested) the PipeTrace retire hook attached. Bench binaries call
  * this once, after their main measurement, with the profile that best
- * characterizes what they measure — under any NDA profile the Chrome
- * trace shows the complete->broadcast deferral as `nda_defer` slices.
+ * characterizes what they measure, configured as the bench ran it
+ * (--mshr, --smt applied): the manifest records `mshr_entries` and
+ * `smt_threads` from `cfg`, so its stats are reproducible from its
+ * fields. Under any NDA profile the Chrome trace shows the
+ * complete->broadcast deferral as `nda_defer` slices.
  *
  * `extra` (optional) runs before the manifest is rendered so the
  * bench can add result fields and bind additional stats (e.g. the
@@ -261,7 +302,7 @@ writeBenchFile(const std::string &path, const std::string &content)
  * call.
  */
 inline void
-emitBenchObs(BenchObs &obs, const char *bench, Profile profile,
+emitBenchObs(BenchObs &obs, const char *bench, const SimConfig &cfg,
              const SampleParams &sp,
              const std::function<void(RunManifest &, StatsRegistry &)>
                  &extra = nullptr)
@@ -270,7 +311,6 @@ emitBenchObs(BenchObs &obs, const char *bench, Profile profile,
         return;
 
     const std::unique_ptr<Workload> workload = makeWorkload("mixed");
-    const SimConfig cfg = makeProfile(profile);
     const Program prog = workload->build(sp.baseSeed);
     const auto core = makeCore(prog, cfg);
 
@@ -292,7 +332,7 @@ emitBenchObs(BenchObs &obs, const char *bench, Profile profile,
         else
             NDA_WARN("profile '%s' has no pipeline trace hook; "
                      "'%s' will hold an empty trace",
-                     profileName(profile), obs.traceOut.c_str());
+                     cfg.name.c_str(), obs.traceOut.c_str());
     }
 
     {
@@ -311,7 +351,7 @@ emitBenchObs(BenchObs &obs, const char *bench, Profile profile,
 
     if (obs.wantStats()) {
         RunManifest m(bench);
-        m.set("profile", profileName(profile));
+        m.set("profile", cfg.name);
         m.set("workload", workload->name());
         m.set("seed", sp.baseSeed);
         m.set("samples", static_cast<std::uint64_t>(sp.samples));
@@ -319,6 +359,10 @@ emitBenchObs(BenchObs &obs, const char *bench, Profile profile,
         m.set("warmup_insts", sp.warmupInsts);
         m.set("measure_insts", sp.measureInsts);
         m.set("jobs", static_cast<std::uint64_t>(sp.jobs));
+        m.set("mshr_entries",
+              static_cast<std::uint64_t>(cfg.memory.mshrEntries));
+        m.set("smt_threads",
+              static_cast<std::uint64_t>(cfg.core.smtThreads));
         // Latency-distribution summaries of the instrumented window
         // (Fig 9d's dispatch-to-issue plus the two NDA residency
         // histograms) — the full distributions live under "stats".

@@ -82,7 +82,7 @@ main(int argc, char **argv)
     std::printf("  both channels leak on insecure OoO: %s\n",
                 cache_r.leaked() && btb_r.leaked() ? "yes" : "NO");
 
-    emitBenchObs(obs, "fig04_covert_channels", Profile::kOoo, sp,
+    emitBenchObs(obs, "fig04_covert_channels", makeProfile(Profile::kOoo), sp,
                  [&](RunManifest &m, StatsRegistry &) {
                      m.set("cache_signal", cache_r.signal);
                      m.set("btb_signal", btb_r.signal);

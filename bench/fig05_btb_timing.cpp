@@ -117,7 +117,7 @@ main(int argc, char **argv)
     std::printf("  BTB mispredict penalty ~16 cycles -> %.0f cycles\n",
                 penalty);
 
-    emitBenchObs(obs, "fig05_btb_timing", Profile::kOoo, sp,
+    emitBenchObs(obs, "fig05_btb_timing", makeProfile(Profile::kOoo), sp,
                  [&](RunManifest &m, StatsRegistry &) {
                      m.set("mispredict_penalty_cycles", penalty);
                  });

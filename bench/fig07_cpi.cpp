@@ -14,7 +14,6 @@
  * flamegraph-ready collapsed-stack file (--stack-out=).
  */
 
-#include <array>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -74,13 +73,15 @@ main(int argc, char **argv)
 
     // The whole figure is one grid of independent windows — run them
     // all concurrently, then format from the reduced cells.
-    std::vector<SimConfig> configs;
-    for (Profile p : profiles) {
+    const auto config_for = [&](Profile p) {
         SimConfig cfg = makeProfile(p);
         cfg.memory.mshrEntries = mshr_entries;
         smt.apply(cfg);
-        configs.push_back(cfg);
-    }
+        return cfg;
+    };
+    std::vector<SimConfig> configs;
+    for (Profile p : profiles)
+        configs.push_back(config_for(p));
     const std::unique_ptr<CheckpointStore> corpus = ckpt.open();
     GridStats grid_stats;
     ScopedTimer grid_timer(obs.timings, "grid");
@@ -203,32 +204,9 @@ main(int argc, char **argv)
         // Pooled attribution per profile: contribution of cause c is
         // slots_c / (width x insts), so each column sums exactly to
         // that profile's pooled CPI — the figure's bars, explained.
-        std::vector<std::array<double, kNumStallCauses>> contrib(
-            profiles.size());
-        std::vector<double> pooled_cpi(profiles.size(), 0.0);
-        for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-            std::array<std::uint64_t, kNumStallCauses> slots{};
-            std::uint64_t insts = 0;
-            std::uint64_t cycles = 0;
-            unsigned width = 0;
-            for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-                const RunResult &r = grid[wi * profiles.size() + pi];
-                for (int c = 0; c < kNumStallCauses; ++c)
-                    slots[c] += r.mean.slotStack[c];
-                insts += r.mean.instructions;
-                cycles += r.mean.cycles;
-                width = r.mean.slotWidth;
-            }
-            const double den = static_cast<double>(width) *
-                               static_cast<double>(insts);
-            for (int c = 0; c < kNumStallCauses; ++c)
-                contrib[pi][c] =
-                    den ? static_cast<double>(slots[c]) / den : 0.0;
-            pooled_cpi[pi] =
-                insts ? static_cast<double>(cycles) /
-                            static_cast<double>(insts)
-                      : 0.0;
-        }
+        std::vector<PooledCpi> pooled;
+        for (std::size_t pi = 0; pi < profiles.size(); ++pi)
+            pooled.push_back(pooledCpi(grid, profiles.size(), pi));
         std::printf("\nCPI attribution (cycles/inst, workloads "
                     "pooled; columns sum to pooled CPI):\n");
         std::vector<std::string> shdr{"cause"};
@@ -238,18 +216,18 @@ main(int argc, char **argv)
         for (int c = 0; c < kNumStallCauses; ++c) {
             bool any = false;
             for (std::size_t pi = 0; pi < profiles.size(); ++pi)
-                any = any || contrib[pi][c] > 0.0;
+                any = any || pooled[pi].contrib[c] > 0.0;
             if (!any)
                 continue;
             std::vector<std::string> row{
                 stallCauseName(static_cast<StallCause>(c))};
             for (std::size_t pi = 0; pi < profiles.size(); ++pi)
-                row.push_back(TablePrinter::fmt(contrib[pi][c], 3));
+                row.push_back(TablePrinter::fmt(pooled[pi].contrib[c], 3));
             stack_table.addRow(row);
         }
         std::vector<std::string> cpi_row{"CPI (sum)"};
         for (std::size_t pi = 0; pi < profiles.size(); ++pi)
-            cpi_row.push_back(TablePrinter::fmt(pooled_cpi[pi], 3));
+            cpi_row.push_back(TablePrinter::fmt(pooled[pi].cpi, 3));
         stack_table.addRow(cpi_row);
         stack_table.print();
 
@@ -347,10 +325,8 @@ main(int argc, char **argv)
         stacks_json = jw.str();
     }
 
-    emitBenchObs(obs, "fig07_cpi", Profile::kStrict, sp,
+    emitBenchObs(obs, "fig07_cpi", config_for(Profile::kStrict), sp,
                  [&](RunManifest &m, StatsRegistry &reg) {
-                     m.set("mshr_entries",
-                           static_cast<std::uint64_t>(mshr_entries));
                      m.set("geomean_strict", geo[Profile::kStrict]);
                      m.set("geomean_in_order", in_order);
                      m.set("geomean_full_protection", full);

@@ -92,7 +92,7 @@ main(int argc, char **argv)
 
     // Strict propagation defers every unsafe tag broadcast, so the
     // exported Chrome trace shows the nda_defer slices of Fig 2.
-    emitBenchObs(obs, "fig08_nda_defense", Profile::kStrict, sp,
+    emitBenchObs(obs, "fig08_nda_defense", makeProfile(Profile::kStrict), sp,
                  [&](RunManifest &m, StatsRegistry &) {
                      m.set("cache_signal", r[0].signal);
                      m.set("btb_signal", r[1].signal);

@@ -149,6 +149,6 @@ main(int argc, char **argv)
     std::printf("Paper: a one-cycle delay changes CPI by less than "
                 "3.6%%.\n");
 
-    emitBenchObs(obs, "fig09_breakdown", Profile::kStrict, sp);
+    emitBenchObs(obs, "fig09_breakdown", makeProfile(Profile::kStrict), sp);
     return 0;
 }

@@ -268,13 +268,12 @@ main(int argc, char **argv)
     SampleParams sp;
     sp.baseSeed = params.seed0;
     sp.jobs = params.jobs;
-    emitBenchObs(obs, "fuzz_differential", Profile::kStrict, sp,
+    SimConfig obs_cfg = makeProfile(Profile::kStrict);
+    obs_cfg.memory.mshrEntries = params.mshrEntries;
+    emitBenchObs(obs, "fuzz_differential", obs_cfg, sp,
                  [&](RunManifest &m, StatsRegistry &reg) {
                      m.set("runs", params.runs);
                      m.set("seed0", params.seed0);
-                     m.set("mshr_entries",
-                           static_cast<std::uint64_t>(
-                               params.mshrEntries));
                      result.registerStats(reg, "fuzz");
                  });
 

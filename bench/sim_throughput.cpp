@@ -411,7 +411,7 @@ main(int argc, char **argv)
     std::fclose(json);
     std::printf("wrote %s\n", json_path.c_str());
 
-    emitBenchObs(obs, "sim_throughput", Profile::kStrict, sp,
+    emitBenchObs(obs, "sim_throughput", makeProfile(Profile::kStrict), sp,
                  [&](RunManifest &m, StatsRegistry &reg) {
                      m.set("interp_bare_mips", interp_bare.mips());
                      m.set("interp_warmed_mips", interp_warm.mips());

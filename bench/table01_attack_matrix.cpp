@@ -164,7 +164,7 @@ main(int argc, char **argv)
     std::printf("Timing vs DIFT oracle: %d of %zu cells disagree.\n",
                 disagreements, cells);
 
-    emitBenchObs(obs, "table01_attack_matrix", Profile::kStrict,
+    emitBenchObs(obs, "table01_attack_matrix", makeProfile(Profile::kStrict),
                  params, [&](RunManifest &m, StatsRegistry &) {
                      m.set("mismatches",
                            static_cast<std::uint64_t>(mismatches));

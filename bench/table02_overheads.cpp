@@ -10,7 +10,6 @@
  * term by term with zero residue.
  */
 
-#include <array>
 #include <cstdio>
 #include <iterator>
 
@@ -79,13 +78,15 @@ main(int argc, char **argv)
     // Measure the overheads: one grid over all workloads x (baseline
     // OoO + the eight mechanism rows), every window concurrent.
     const auto workloads = makeAllWorkloads();
-    std::vector<SimConfig> configs{makeProfile(Profile::kOoo)};
-    for (const RowSpec &row : rows)
-        configs.push_back(makeProfile(row.profile));
-    for (SimConfig &cfg : configs) {
+    const auto config_for = [&](Profile p) {
+        SimConfig cfg = makeProfile(p);
         cfg.memory.mshrEntries = mshr_entries;
         smt.apply(cfg);
-    }
+        return cfg;
+    };
+    std::vector<SimConfig> configs{config_for(Profile::kOoo)};
+    for (const RowSpec &row : rows)
+        configs.push_back(config_for(row.profile));
     const std::unique_ptr<CheckpointStore> corpus = ckpt.open();
     GridStats grid_stats;
     ScopedTimer grid_timer(obs.timings, "grid");
@@ -120,32 +121,10 @@ main(int argc, char **argv)
     // Pooled per-config decomposition: contribution of cause c is
     // slots_c / (width x insts), so the per-cause deltas of each
     // mechanism vs the baseline sum *exactly* to its pooled CPI delta.
-    std::vector<std::array<double, kNumStallCauses>> contrib(ncfg);
-    std::vector<double> pooled_cpi(ncfg, 0.0);
+    std::vector<PooledCpi> pooled;
     if (sp.cpiStack) {
-        for (std::size_t ci = 0; ci < ncfg; ++ci) {
-            std::array<std::uint64_t, kNumStallCauses> slots{};
-            std::uint64_t insts = 0;
-            std::uint64_t cycles = 0;
-            unsigned width = 0;
-            for (std::size_t i = 0; i < workloads.size(); ++i) {
-                const RunResult &r = grid[i * ncfg + ci];
-                for (int c = 0; c < kNumStallCauses; ++c)
-                    slots[c] += r.mean.slotStack[c];
-                insts += r.mean.instructions;
-                cycles += r.mean.cycles;
-                width = r.mean.slotWidth;
-            }
-            const double den = static_cast<double>(width) *
-                               static_cast<double>(insts);
-            for (int c = 0; c < kNumStallCauses; ++c)
-                contrib[ci][c] =
-                    den ? static_cast<double>(slots[c]) / den : 0.0;
-            pooled_cpi[ci] =
-                insts ? static_cast<double>(cycles) /
-                            static_cast<double>(insts)
-                      : 0.0;
-        }
+        for (std::size_t ci = 0; ci < ncfg; ++ci)
+            pooled.push_back(pooledCpi(grid, ncfg, ci));
         std::printf("\nCPI-delta attribution vs OoO (cycles/inst, "
                     "workloads pooled;\ncolumns sum to the pooled CPI "
                     "delta):\n");
@@ -156,20 +135,21 @@ main(int argc, char **argv)
         for (int c = 0; c < kNumStallCauses; ++c) {
             bool any = false;
             for (std::size_t r = 0; r < std::size(rows); ++r)
-                any = any || contrib[r + 1][c] != contrib[0][c];
+                any = any ||
+                      pooled[r + 1].contrib[c] != pooled[0].contrib[c];
             if (!any)
                 continue;
             std::vector<std::string> drow{
                 stallCauseName(static_cast<StallCause>(c))};
             for (std::size_t r = 0; r < std::size(rows); ++r)
                 drow.push_back(TablePrinter::fmt(
-                    contrib[r + 1][c] - contrib[0][c], 3));
+                    pooled[r + 1].contrib[c] - pooled[0].contrib[c], 3));
             dt.addRow(drow);
         }
         std::vector<std::string> dsum{"dCPI (sum)"};
         for (std::size_t r = 0; r < std::size(rows); ++r)
             dsum.push_back(TablePrinter::fmt(
-                pooled_cpi[r + 1] - pooled_cpi[0], 3));
+                pooled[r + 1].cpi - pooled[0].cpi, 3));
         dt.addRow(dsum);
         dt.print();
     }
@@ -193,12 +173,13 @@ main(int argc, char **argv)
                 CsvWriter::num(rows[r].paperOverhead, 4),
                 CsvWriter::num(overheads[r], 4)};
             if (sp.cpiStack) {
-                line.push_back(CsvWriter::num(pooled_cpi[r + 1], 6));
+                line.push_back(CsvWriter::num(pooled[r + 1].cpi, 6));
                 line.push_back(CsvWriter::num(
-                    pooled_cpi[r + 1] - pooled_cpi[0], 6));
+                    pooled[r + 1].cpi - pooled[0].cpi, 6));
                 for (int c = 0; c < kNumStallCauses; ++c)
                     line.push_back(CsvWriter::num(
-                        contrib[r + 1][c] - contrib[0][c], 6));
+                        pooled[r + 1].contrib[c] - pooled[0].contrib[c],
+                        6));
             }
             csv.row(line);
         }
@@ -212,10 +193,8 @@ main(int argc, char **argv)
                 "store-address\nmicro-ops resolve quickly in these "
                 "kernels; see EXPERIMENTS.md.\n");
 
-    emitBenchObs(obs, "table02_overheads", Profile::kStrict, sp,
-                 [&](RunManifest &m, StatsRegistry &reg) {
-                     m.set("mshr_entries",
-                           static_cast<std::uint64_t>(mshr_entries));
+    emitBenchObs(obs, "table02_overheads", config_for(Profile::kStrict), sp,
+                 [&](RunManifest &, StatsRegistry &reg) {
                      grid_stats.registerStats(reg, "harness");
                  });
     return 0;

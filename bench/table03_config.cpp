@@ -30,6 +30,6 @@ main(int argc, char **argv)
         "TimingSimpleCPU;\nL1-I/L1-D 32 kB 8-way 4-cycle RT, 1 port; "
         "L2 2 MB 16-way\n40-cycle RT; DRAM 50 ns.\n");
 
-    emitBenchObs(obs, "table03_config", Profile::kOoo, sp);
+    emitBenchObs(obs, "table03_config", makeProfile(Profile::kOoo), sp);
     return 0;
 }

@@ -89,7 +89,6 @@ class CoreBase
     virtual const MemoryMap &mem() const = 0;
     virtual MemHierarchy &hierarchy() = 0;
 
-    virtual PerfCounters &counters() = 0;
     virtual const PerfCounters &counters() const = 0;
 
     /** Start a fresh measurement window (SMARTS warm-up boundary). */

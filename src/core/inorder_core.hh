@@ -49,7 +49,6 @@ class InOrderCore : public CoreBase
     const MemoryMap &mem() const override { return interp_.mem(); }
     MemHierarchy &hierarchy() override { return hier_; }
 
-    PerfCounters &counters() override { return counters_; }
     const PerfCounters &counters() const override { return counters_; }
     void resetCounters() override { counters_.reset(); }
 

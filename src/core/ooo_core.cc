@@ -22,8 +22,7 @@ OooCore::OooCore(Program prog, const SimConfig &cfg)
       iq_(cfg.core.iqEntries),
       lsq_(cfg.core.lqEntries, cfg.core.sqEntries,
            std::max(1u, cfg.core.smtThreads)),
-      threads_(std::max(1u, cfg.core.smtThreads)),
-      commitsThisCycle_(std::max(1u, cfg.core.smtThreads), 0)
+      threads_(std::max(1u, cfg.core.smtThreads))
 {
     NDA_ASSERT(cfg.core.numPhysRegs >=
                    numThreads_ * kNumArchRegs + cfg.core.robEntries,
@@ -48,8 +47,6 @@ OooCore::OooCore(Program prog, const SimConfig &cfg)
                          ? prog_.entry
                          : prog_.smtEntry;
     }
-    if (numThreads_ > 1)
-        threadCounters_.resize(numThreads_);
 }
 
 RegVal
@@ -70,14 +67,6 @@ TaintWord
 OooCore::archRegTaint(RegId r) const
 {
     return dift_ ? dift_->regTaint(threads_[0].commitMap[r]) : 0;
-}
-
-void
-OooCore::resetCounters()
-{
-    counters_.reset();
-    for (PerfCounters &c : threadCounters_)
-        c.reset();
 }
 
 void
@@ -266,10 +255,6 @@ void
 OooCore::tick()
 {
     ++cycle_;
-    ++counters_.cycles;
-    for (PerfCounters &c : threadCounters_)
-        ++c.cycles;
-    completionsThisCycle_ = 0;
 
     // Land every fill due this cycle before any stage looks at the
     // tags (the completing load's line must be present when it wakes).
@@ -281,13 +266,11 @@ OooCore::tick()
     dispatchStage();
     fetchStage();
 
+    // MLP is defined on the misses still outstanding once every stage
+    // has run, so its sample is the one charge outside accountCycle.
     if (outstandingMisses_ > 0) {
         ++counters_.mlpCycles;
         counters_.mlpAccum += static_cast<std::uint64_t>(outstandingMisses_);
-    }
-    if (completionsThisCycle_ > 0) {
-        ++counters_.ilpCycles;
-        counters_.ilpAccum += completionsThisCycle_;
     }
 
     if (checker_)
@@ -323,9 +306,10 @@ void
 OooCore::commitStage()
 {
     unsigned ncommit = 0;
-    std::fill(commitsThisCycle_.begin(), commitsThisCycle_.end(), 0u);
-    for (ThreadContext &tc : threads_)
+    for (ThreadContext &tc : threads_) {
+        tc.commitsThisCycle = 0;
         tc.commitBreak = CommitBreak::kNone;
+    }
 
     // Shared commit bandwidth, threads served in rotation order so
     // neither context can monopolise retirement. One thread reduces
@@ -335,7 +319,6 @@ OooCore::commitStage()
         const unsigned tid =
             (static_cast<unsigned>(cycle_) + k) % numThreads_;
         ThreadContext &tc = threads_[tid];
-        PerfCounters *tcc = tcnt(tid);
 
     // Stop exactly at the run() instruction target so measurement
     // windows have precise boundaries.
@@ -430,8 +413,6 @@ OooCore::commitStage()
             mem_.write(inst->effAddr, inst->storeData, inst->uop.size);
             lsq_.commitStore(*inst);
             ++counters_.stores;
-            if (tcc)
-                ++tcc->stores;
             // DIFT: the committed store makes its data's taint (or
             // lack of it) the architectural taint of the location.
             if (dift_) {
@@ -441,30 +422,18 @@ OooCore::commitStage()
         } else if (inst->isLoad()) {
             lsq_.commitLoad(*inst);
             ++counters_.loads;
-            if (tcc)
-                ++tcc->loads;
         }
 
         if (inst->uop.traits().isCondBranch) {
             bp_.commitUpdate(inst->uop, inst->pc, inst->actualTaken,
                              inst->bpCkpt.history);
             ++counters_.condBranches;
-            if (tcc)
-                ++tcc->condBranches;
-            if (inst->mispredicted) {
+            if (inst->mispredicted)
                 ++counters_.condMispredicts;
-                if (tcc)
-                    ++tcc->condMispredicts;
-            }
         } else if (inst->uop.traits().isIndirect) {
             ++counters_.indirectBranches;
-            if (tcc)
-                ++tcc->indirectBranches;
-            if (inst->mispredicted) {
+            if (inst->mispredicted)
                 ++counters_.indirectMispredicts;
-                if (tcc)
-                    ++tcc->indirectMispredicts;
-            }
         }
 
         if (inst->uop.op == Opcode::kFence) {
@@ -495,16 +464,14 @@ OooCore::commitStage()
             retireHook_(*inst, cycle_);
         tc.rob.pop_front();
         ++ncommit;
-        ++commitsThisCycle_[tid];
+        ++tc.commitsThisCycle;
         ++committed_;
         ++counters_.committedInsts;
-        if (tcc)
-            ++tcc->committedInsts;
         lastCommitCycle_ = cycle_;
         if (cpiStack_)
             cpiStack_->addSlots(StallCause::kCommit, 1, inst->pc);
-        if (CpiStackProfiler *p = tcpi(tid))
-            p->addSlots(StallCause::kCommit, 1, inst->pc);
+        if (tc.cpiStack)
+            tc.cpiStack->addSlots(StallCause::kCommit, 1, inst->pc);
 
         if (inst->uop.op == Opcode::kHalt) {
             tc.halted = true;
@@ -524,10 +491,7 @@ OooCore::commitStage()
         }
     }
     }
-    const unsigned ptid = priorityTid();
-    classifyCycle(ncommit, ptid);
-    if (cpiStack_ || !threadCpi_.empty())
-        profileCycle(ncommit, ptid);
+    accountCycle(ncommit);
 }
 
 unsigned
@@ -568,13 +532,37 @@ OooCore::classifyThread(unsigned committed_now,
 }
 
 void
-OooCore::classifyCycle(unsigned committed_now, unsigned ptid)
+OooCore::accountCycle(unsigned ncommit)
 {
+    const unsigned ptid = priorityTid();
+    ++counters_.cycles;
     ++counters_.cycleClass[static_cast<int>(
-        classifyThread(committed_now, threads_[ptid]))];
-    for (unsigned t = 0; t < threadCounters_.size(); ++t) {
-        ++threadCounters_[t].cycleClass[static_cast<int>(
-            classifyThread(commitsThisCycle_[t], threads_[t]))];
+        classifyThread(ncommit, threads_[ptid]))];
+
+    const std::uint64_t lost = cfg_.core.commitWidth - ncommit;
+    const bool edge = halted_ || committed_ >= commitTarget_;
+    if (cpiStack_) {
+        cpiStack_->onCycle();
+        if (lost)
+            attributeLostSlots(cpiStack_, ptid, lost, edge);
+    }
+    for (unsigned t = 0; t < numThreads_; ++t) {
+        const ThreadContext &tc = threads_[t];
+        CpiStackProfiler *p = tc.cpiStack;
+        if (!p)
+            continue;
+        p->onCycle();
+        // Slots another hardware thread retired into: lost to *this*
+        // thread through SMT bandwidth sharing, not through a stall
+        // of its own.
+        if (ncommit > tc.commitsThisCycle) {
+            p->addSlots(StallCause::kSmtContention,
+                        ncommit - tc.commitsThisCycle,
+                        tc.rob.empty() ? tc.fetchPc
+                                       : tc.rob.front()->pc);
+        }
+        if (lost)
+            attributeLostSlots(p, t, lost, edge || tc.halted);
     }
 }
 
@@ -602,38 +590,6 @@ ndaDeferCause(const DynInst &producer)
 }
 
 } // namespace
-
-void
-OooCore::profileCycle(unsigned ncommit, unsigned ptid)
-{
-    const unsigned width = cfg_.core.commitWidth;
-    const bool edge = halted_ || committed_ >= commitTarget_;
-    if (cpiStack_) {
-        cpiStack_->onCycle();
-        const std::uint64_t lost = width - ncommit;
-        if (lost)
-            attributeLostSlots(cpiStack_, ptid, lost, edge);
-    }
-    for (unsigned t = 0; t < threadCpi_.size(); ++t) {
-        CpiStackProfiler *p = threadCpi_[t];
-        if (!p)
-            continue;
-        p->onCycle();
-        const ThreadContext &tc = threads_[t];
-        // Slots another hardware thread retired into: lost to *this*
-        // thread through SMT bandwidth sharing, not through a stall
-        // of its own.
-        if (ncommit > commitsThisCycle_[t]) {
-            p->addSlots(StallCause::kSmtContention,
-                        ncommit - commitsThisCycle_[t],
-                        tc.rob.empty() ? tc.fetchPc
-                                       : tc.rob.front()->pc);
-        }
-        const std::uint64_t lost = width - ncommit;
-        if (lost)
-            attributeLostSlots(p, t, lost, edge || tc.halted);
-    }
-}
 
 void
 OooCore::attributeLostSlots(CpiStackProfiler *p, unsigned tid,
@@ -824,13 +780,8 @@ OooCore::raiseFault(const DynInstPtr &inst)
 {
     // The faulting instruction does not retire; everything from it on
     // (inclusive) is squashed and fetch redirects to the handler.
-    ++counters_.squashes;
     ++counters_.faults;
     ++faultCount_;
-    if (PerfCounters *c = tcnt(inst->tid)) {
-        ++c->squashes;
-        ++c->faults;
-    }
     const Addr handler = prog_.faultHandler;
     squashAfter(inst->tid, inst->seq - 1,
                 handler == ~Addr{0} ? 0 : handler, SquashCause::kFault,
@@ -862,6 +813,7 @@ OooCore::completeStage()
               });
 
     std::vector<DynInstPtr> to_broadcast;
+    unsigned completed = 0;
     for (const DynInstPtr &inst : done) {
         if (inst->countedMiss) {
             --outstandingMisses_;
@@ -872,7 +824,7 @@ OooCore::completeStage()
 
         inst->executed = true;
         inst->completedAt = cycle_;
-        ++completionsThisCycle_;
+        ++completed;
 
         if (inst->isStore()) {
             inst->effAddrValid = true;
@@ -880,11 +832,6 @@ OooCore::completeStage()
             // always same-thread — forwarding never crosses contexts)
             if (DynInstPtr victim = lsq_.checkViolations(*inst)) {
                 ++counters_.memOrderViolations;
-                ++counters_.squashes;
-                if (PerfCounters *c = tcnt(inst->tid)) {
-                    ++c->memOrderViolations;
-                    ++c->squashes;
-                }
                 squashAfter(inst->tid, victim->seq - 1, victim->pc,
                             SquashCause::kMemOrderViolation,
                             inst->pc);
@@ -930,13 +877,10 @@ OooCore::completeStage()
             // happens after this write.
             if (dift_)
                 dift_->setRegTaint(inst->dest, inst->taint);
-            if (inst->isUnsafe()) {
+            if (inst->isUnsafe())
                 ++counters_.deferredBroadcasts;
-                if (PerfCounters *c = tcnt(inst->tid))
-                    ++c->deferredBroadcasts;
-            } else {
+            else
                 to_broadcast.push_back(inst);
-            }
         }
     }
 
@@ -979,6 +923,11 @@ OooCore::completeStage()
         }
     }
     pendingBcast_.swap(keep);
+
+    if (completed) {
+        ++counters_.ilpCycles;
+        counters_.ilpAccum += completed;
+    }
 }
 
 void
@@ -995,8 +944,6 @@ OooCore::broadcast(const DynInstPtr &inst)
         cycle_ > inst->completedAt) {
         counters_.deferredBroadcastDelay.add(cycle_ -
                                              inst->completedAt);
-        if (PerfCounters *c = tcnt(inst->tid))
-            c->deferredBroadcastDelay.add(cycle_ - inst->completedAt);
     }
 }
 
@@ -1041,9 +988,6 @@ OooCore::resolveBranch(const DynInstPtr &inst)
     // never touch the wrong-path instructions being discarded.
     inst->mispredicted = inst->actualNextPc != inst->predNextPc;
     if (inst->mispredicted) {
-        ++counters_.squashes;
-        if (PerfCounters *c = tcnt(inst->tid))
-            ++c->squashes;
         squashAfter(inst->tid, inst->seq, inst->actualNextPc,
                     SquashCause::kBranchMispredict, inst->pc);
         // Recover predictor state to just before this branch, then
@@ -1115,12 +1059,6 @@ OooCore::registerStats(StatsRegistry &reg, const std::string &prefix)
     iq_.registerStats(reg, prefix + ".iq");
     lsq_.registerStats(reg, prefix + ".lsq");
     regs_.registerStats(reg, prefix + ".regfile");
-    // Per-thread views exist only under SMT, so the single-thread
-    // stats schema is untouched.
-    for (unsigned t = 0; t < threadCounters_.size(); ++t) {
-        threadCounters_[t].registerStats(
-            reg, prefix + ".t" + std::to_string(t) + ".perf");
-    }
 }
 
 void
@@ -1130,8 +1068,6 @@ OooCore::noteUnsafeCleared(DynInst &inst)
         return;
     inst.unsafeClearedAt = cycle_;
     counters_.unsafeResidency.add(cycle_ - inst.unsafeMarkedAt);
-    if (PerfCounters *c = tcnt(inst.tid))
-        c->unsafeResidency.add(cycle_ - inst.unsafeMarkedAt);
 }
 
 void
@@ -1140,8 +1076,8 @@ OooCore::squashAfter(unsigned tid, InstSeqNum keep_seq,
 {
     ThreadContext &tc = threads_[tid];
     ++counters_.squashCause[static_cast<int>(cause)];
-    if (PerfCounters *c = tcnt(tid))
-        ++c->squashCause[static_cast<int>(cause)];
+    if (cause != SquashCause::kSerialize) // SS8 refetch: not a flush
+        ++counters_.squashes;
     // CPI stack: until the refetched stream reaches dispatch again,
     // empty commit slots belong to this squash (and to its culprit).
     tc.refetchPending = true;
@@ -1276,8 +1212,6 @@ OooCore::issueStage()
         inst->issued = true;
         inst->issuedAt = cycle_;
         counters_.dispatchToIssue.add(cycle_ - inst->dispatchedAt);
-        if (PerfCounters *c = tcnt(inst->tid))
-            c->dispatchToIssue.add(cycle_ - inst->dispatchedAt);
         return true;
     });
 }
@@ -1684,8 +1618,6 @@ OooCore::dispatchStage()
                 inst->everUnsafe = true;
                 inst->unsafeMarkedAt = cycle_;
                 ++counters_.unsafeMarked;
-                if (PerfCounters *c = tcnt(tid))
-                    ++c->unsafeMarked;
             }
 
             if (inst->isSpecBranch())

@@ -68,12 +68,11 @@ class OooCore : public CoreBase
     const MemoryMap &mem() const override { return mem_; }
     MemHierarchy &hierarchy() override { return hier_; }
 
-    PerfCounters &counters() override { return counters_; }
     const PerfCounters &counters() const override { return counters_; }
-    void resetCounters() override;
+    void resetCounters() override { counters_.reset(); }
 
-    /** Perf + hierarchy (base) plus predictor, IQ, LSQ, regfile; with
-     *  SMT, per-thread counters under `prefix`.t<i>.perf. */
+    /** Perf + hierarchy (base) plus predictor, IQ, LSQ, regfile. The
+     *  names do not depend on the hardware-thread count. */
     void registerStats(StatsRegistry &reg,
                        const std::string &prefix) override;
 
@@ -115,9 +114,7 @@ class OooCore : public CoreBase
     void
     attachThreadCpiStack(unsigned tid, CpiStackProfiler *p)
     {
-        if (threadCpi_.size() < threads_.size())
-            threadCpi_.resize(threads_.size(), nullptr);
-        threadCpi_[tid] = p;
+        threads_[tid].cpiStack = p;
     }
 
     /**
@@ -156,14 +153,6 @@ class OooCore : public CoreBase
     RegVal msrOf(unsigned tid, unsigned idx) const
     {
         return threads_[tid].msrs[idx];
-    }
-
-    /** Thread `tid`'s counters; null unless the core runs SMT. */
-    const PerfCounters *
-    threadCounters(unsigned tid) const
-    {
-        return threadCounters_.empty() ? nullptr
-                                       : &threadCounters_[tid];
     }
 
     /** Taint of the committed architectural register `r` (0 if no
@@ -250,6 +239,8 @@ class OooCore : public CoreBase
         bool halted = false;
 
         // CPI-stack attribution state
+        CpiStackProfiler *cpiStack = nullptr; ///< this thread's view
+        unsigned commitsThisCycle = 0; ///< retired by this thread now
         CommitBreak commitBreak = CommitBreak::kNone;
         DispatchBlock dispatchBlock = DispatchBlock::kNone;
         bool refetchPending = false; ///< squashed; refill not dispatched
@@ -317,10 +308,13 @@ class OooCore : public CoreBase
         Addr pc;
     };
 
-    /** Attribute this cycle's lost commit slots (commit slots are
-     *  charged inline as instructions retire). `ptid` is the thread
-     *  whose stall explains the pooled stack's lost slots. */
-    void profileCycle(unsigned ncommit, unsigned ptid);
+    /**
+     * Charge one cycle in which `ncommit` instructions retired: the
+     * cycle count, the Fig 9a class, and the CPI stacks' lost slots
+     * (commit slots are charged inline as instructions retire). Runs
+     * once per tick, at the end of the commit stage.
+     */
+    void accountCycle(unsigned ncommit);
     /** Root cause of thread `tid`'s stalled ROB head. */
     SlotAttr headCause(unsigned tid);
     /** Cause of thread `tid`'s slots beyond ROB occupancy (squash
@@ -344,7 +338,6 @@ class OooCore : public CoreBase
         return r == kInvalidPhysReg ? 0 : regs_.value(r);
     }
 
-    void classifyCycle(unsigned committed_now, unsigned ptid);
     /** Commit/frontend/memory/backend class of one thread's cycle. */
     CycleClass classifyThread(unsigned committed_now,
                               const ThreadContext &tc) const;
@@ -353,20 +346,6 @@ class OooCore : public CoreBase
     unsigned priorityTid() const;
     /** Total ROB occupancy across threads (shared capacity). */
     std::size_t robOccupancy() const;
-
-    /** Thread `tid`'s counters, or null on a single-thread core. */
-    PerfCounters *
-    tcnt(unsigned tid)
-    {
-        return threadCounters_.empty() ? nullptr
-                                       : &threadCounters_[tid];
-    }
-    /** Thread `tid`'s CPI profiler, or null. */
-    CpiStackProfiler *
-    tcpi(unsigned tid) const
-    {
-        return tid < threadCpi_.size() ? threadCpi_[tid] : nullptr;
-    }
 
     // --- configuration / program -----------------------------------------
     const Program prog_;
@@ -406,7 +385,6 @@ class OooCore : public CoreBase
     std::uint64_t faultCount_ = 0;
     bool halted_ = false; ///< every hardware thread halted
     int outstandingMisses_ = 0;
-    unsigned completionsThisCycle_ = 0;
     Cycle lastCommitCycle_ = 0;
     std::function<void(const DynInst &, Cycle)> retireHook_;
     TaintEngine *dift_ = nullptr; ///< leakage oracle, usually absent
@@ -414,17 +392,12 @@ class OooCore : public CoreBase
 
     // --- CPI-stack attribution state ---------------------------------------
     CpiStackProfiler *cpiStack_ = nullptr; ///< pooled; usually absent
-    std::vector<CpiStackProfiler *> threadCpi_; ///< per-thread views
-    /** Per-thread commit counts of the current cycle (SMT CPI). */
-    std::vector<unsigned> commitsThisCycle_;
     /** Phys reg -> in-flight producer that has not broadcast. Rebuilt
      *  lazily per profiled stall cycle; never read otherwise. */
     std::vector<const DynInst *> producerOf_;
 
+    /** The core's only counters, pooled over hardware threads. */
     PerfCounters counters_;
-    /** Per-thread counters; empty on a single-thread core (the pooled
-     *  counters_ then are the thread counters). */
-    std::vector<PerfCounters> threadCounters_;
 
     /** The checker reads every private structure it validates. */
     friend class InvariantChecker;

@@ -18,35 +18,6 @@ squashCauseName(SquashCause c)
 }
 
 void
-PerfCounters::reset()
-{
-    cycles = 0;
-    committedInsts = 0;
-    for (auto &c : cycleClass)
-        c = 0;
-    condBranches = 0;
-    condMispredicts = 0;
-    indirectBranches = 0;
-    indirectMispredicts = 0;
-    squashes = 0;
-    memOrderViolations = 0;
-    faults = 0;
-    loads = 0;
-    stores = 0;
-    mlpCycles = 0;
-    mlpAccum = 0;
-    ilpCycles = 0;
-    ilpAccum = 0;
-    deferredBroadcasts = 0;
-    unsafeMarked = 0;
-    for (auto &c : squashCause)
-        c = 0;
-    dispatchToIssue.reset();
-    deferredBroadcastDelay.reset();
-    unsafeResidency.reset();
-}
-
-void
 PerfCounters::registerStats(StatsRegistry &reg,
                             const std::string &prefix) const
 {

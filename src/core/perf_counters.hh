@@ -136,7 +136,7 @@ struct PerfCounters {
     }
 
     /** Zero every counter (start of a measurement window). */
-    void reset();
+    void reset() { *this = PerfCounters{}; }
 
     /**
      * Bind every counter into the registry under group `g`
