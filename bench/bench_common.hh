@@ -139,9 +139,9 @@ struct BenchObs {
 
 /**
  * Checkpoint-corpus knobs shared by the grid-driving bench binaries
- * (fig07_cpi, table02_overheads, sim_throughput, grid_server): where
- * the on-disk corpus lives, its LRU size cap, and an off switch that
- * wins over --ckpt-dir so scripts can layer flags.
+ * (fig07_cpi, table02_overheads, grid_server): where the on-disk
+ * corpus lives, its LRU size cap, and an off switch that wins over
+ * --ckpt-dir so scripts can layer flags.
  */
 struct BenchCkpt {
     std::string dir;             ///< --ckpt-dir= (empty: no corpus)

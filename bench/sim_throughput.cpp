@@ -4,8 +4,8 @@
  * kilo-instructions per host-second) per machine profile, MIPS for
  * the predecoded architectural interpreter (the fast-forward engine),
  * plus the aggregate harness throughput with `--jobs` concurrent
- * windows, and writes BENCH_throughput.json so the performance
- * trajectory of the core hot path is tracked from PR to PR.
+ * windows, and writes the numbers to a JSON file
+ * (BENCH_throughput.json by default).
  *
  * Per-profile numbers are measured serially (one window at a time) so
  * they isolate single-core simulation speed; the harness number runs
@@ -18,7 +18,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -103,15 +102,14 @@ main(int argc, char **argv)
 {
     SampleParams sp;
     BenchObs obs;
-    BenchCkpt ckpt;
     bool quick = false;
     std::string json_path = "BENCH_throughput.json";
     bool run_cores = true;
     unsigned min_interp_mips = 0;
     bool stats_schema = false;
     FlagTable flags(argv[0], "Simulator throughput: KIPS per profile, "
-                             "interpreter MIPS,\nharness and corpus "
-                             "A/B.");
+                             "interpreter MIPS\nand harness "
+                             "throughput.");
     addSampleFlags(flags, sp, &quick);
     flags.text("--json", "F",
                "where to write the results\n"
@@ -127,7 +125,6 @@ main(int argc, char **argv)
     flags.flag("--stats-schema",
                "print the canonical stat-name schema and exit",
                &stats_schema);
-    ckpt.addFlags(flags);
     obs.addFlags(flags);
     flags.parseOrExit(argc, argv);
     sp.validate();
@@ -185,16 +182,7 @@ main(int argc, char **argv)
     std::uint64_t grid_insts = 0;
     double grid_kips = 0.0;
     std::vector<SimConfig> configs;
-    // Warm-corpus A/B (chained sampling, persistent CheckpointStore).
-    SampleParams corpus_ab = sp;
-    double nocorpus_seconds = 0.0;
-    double cold_seconds = 0.0;
-    double warm_seconds = 0.0;
-    double warm_speedup = 0.0;
-    bool corpus_identical = false;
-    GridStats nocorpus_stats;
-    GridStats cold_stats;
-    GridStats warm_stats;
+    GridStats grid_stats;
 
     if (run_cores) {
         const auto profiles = allProfiles();
@@ -225,7 +213,7 @@ main(int argc, char **argv)
         const auto t0 = Clock::now();
         ScopedTimer grid_timer(obs.timings, "harness-grid");
         const std::vector<RunResult> grid =
-            runGrid(workloads, configs, sp);
+            runGrid(workloads, configs, sp, nullptr, &grid_stats);
         grid_timer.stop();
         grid_seconds = secondsSince(t0);
         for (const RunResult &r : grid)
@@ -237,93 +225,6 @@ main(int argc, char **argv)
                     sp.jobs,
                     static_cast<unsigned long long>(grid_insts),
                     grid_seconds, grid_kips);
-
-        // Warm-corpus A/B: the same chained sweep three times —
-        // without a corpus, against a cold corpus (builds + publishes),
-        // and against the now-warm corpus (pure loads). The chained
-        // stride dominates wall-clock, so the warm run's speedup is
-        // the checkpoint subsystem's whole value proposition in one
-        // number; the three result sets must be bit-identical. Fixed
-        // at jobs=2 so the comparison measures work eliminated, not
-        // how much idle hardware can hide the fast-forwards.
-        corpus_ab.jobs = 2;
-        corpus_ab.chainSamples = true;
-        corpus_ab.fastforwardInsts = quick ? 8'000'000 : 24'000'000;
-        corpus_ab.warmupInsts = 500;
-        corpus_ab.measureInsts = 1'000;
-        corpus_ab.samples = 2;
-        std::vector<std::unique_ptr<Workload>> ab_workloads;
-        ab_workloads.push_back(makeWorkload("compute"));
-        ab_workloads.push_back(makeWorkload("branchy"));
-
-        const std::string corpus_dir =
-            ckpt.wantCorpus() ? ckpt.dir : "nda_ckpt_ab_corpus";
-        std::error_code ec;
-        std::filesystem::remove_all(corpus_dir, ec); // guarantee cold
-
-        const auto nocorpus_t0 = Clock::now();
-        std::vector<RunResult> nocorpus_grid;
-        {
-            ScopedTimer t(obs.timings, "corpus-ab-nocorpus");
-            nocorpus_grid = runGrid(ab_workloads, configs, corpus_ab,
-                                    nullptr, &nocorpus_stats);
-        }
-        nocorpus_seconds = secondsSince(nocorpus_t0);
-
-        std::vector<RunResult> cold_grid;
-        std::vector<RunResult> warm_grid;
-        {
-            CheckpointStore corpus(corpus_dir, ckpt.maxBytes);
-            const auto cold_t0 = Clock::now();
-            {
-                ScopedTimer t(obs.timings, "corpus-ab-cold");
-                cold_grid = runGrid(ab_workloads, configs, corpus_ab,
-                                    nullptr, &cold_stats, &corpus);
-            }
-            cold_seconds = secondsSince(cold_t0);
-            const auto warm_t0 = Clock::now();
-            {
-                ScopedTimer t(obs.timings, "corpus-ab-warm");
-                warm_grid = runGrid(ab_workloads, configs, corpus_ab,
-                                    nullptr, &warm_stats, &corpus);
-            }
-            warm_seconds = secondsSince(warm_t0);
-        }
-        warm_speedup = warm_seconds > 0.0
-                           ? nocorpus_seconds / warm_seconds
-                           : 0.0;
-        corpus_identical =
-            nocorpus_grid.size() == cold_grid.size() &&
-            cold_grid.size() == warm_grid.size();
-        for (std::size_t i = 0; corpus_identical &&
-                                i < nocorpus_grid.size(); ++i) {
-            corpus_identical =
-                nocorpus_grid[i].cpiSamples == cold_grid[i].cpiSamples &&
-                cold_grid[i].cpiSamples == warm_grid[i].cpiSamples;
-        }
-        if (!ckpt.wantCorpus())
-            std::filesystem::remove_all(corpus_dir, ec);
-        std::printf("\nCheckpoint corpus (chained, %zu workloads x %zu "
-                    "profiles x %u samples, %lluk stride, jobs=%u):\n"
-                    "  no corpus  %.2fs (%llu fast-forwards)\n"
-                    "  cold       %.2fs (%llu misses published)\n"
-                    "  warm       %.2fs (%llu hits, %.2fx vs no "
-                    "corpus)  results %s\n",
-                    ab_workloads.size(), configs.size(),
-                    corpus_ab.samples,
-                    static_cast<unsigned long long>(
-                        corpus_ab.fastforwardInsts / 1000),
-                    corpus_ab.jobs, nocorpus_seconds,
-                    static_cast<unsigned long long>(
-                        nocorpus_stats.ffRuns),
-                    cold_seconds,
-                    static_cast<unsigned long long>(
-                        cold_stats.ckptMisses),
-                    warm_seconds,
-                    static_cast<unsigned long long>(
-                        warm_stats.ckptHits),
-                    warm_speedup,
-                    corpus_identical ? "bit-identical" : "DIVERGED");
     }
 
     std::FILE *json = std::fopen(json_path.c_str(), "w");
@@ -382,30 +283,10 @@ main(int argc, char **argv)
         std::fprintf(json,
                      "  ],\n"
                      "  \"harness\": {\"jobs\": %u, \"instructions\": "
-                     "%llu, \"seconds\": %.4f, \"kips\": %.1f},\n",
+                     "%llu, \"seconds\": %.4f, \"kips\": %.1f}\n",
                      sp.jobs,
                      static_cast<unsigned long long>(grid_insts),
                      grid_seconds, grid_kips);
-        std::fprintf(
-            json,
-            "  \"checkpoint_corpus\": {\"chained\": true, "
-            "\"samples\": %u, \"stride_insts\": %llu, \"jobs\": %u,\n"
-            "    \"nocorpus_seconds\": %.4f, \"cold_seconds\": %.4f, "
-            "\"warm_seconds\": %.4f,\n"
-            "    \"warm_speedup\": %.2f, \"cold_misses\": %llu, "
-            "\"warm_hits\": %llu, \"ckpt_bytes\": %llu,\n"
-            "    \"chain_len\": %llu, \"bit_identical\": %s}\n",
-            corpus_ab.samples,
-            static_cast<unsigned long long>(
-                corpus_ab.fastforwardInsts),
-            corpus_ab.jobs, nocorpus_seconds, cold_seconds,
-            warm_seconds, warm_speedup,
-            static_cast<unsigned long long>(cold_stats.ckptMisses),
-            static_cast<unsigned long long>(warm_stats.ckptHits),
-            static_cast<unsigned long long>(cold_stats.ckptBytes +
-                                            warm_stats.ckptBytes),
-            static_cast<unsigned long long>(warm_stats.ckptChainLen),
-            corpus_identical ? "true" : "false");
     }
     std::fprintf(json, "}\n");
     std::fclose(json);
@@ -425,12 +306,7 @@ main(int argc, char **argv)
                      if (run_cores) {
                          m.set("harness_kips", grid_kips);
                          m.set("harness_insts", grid_insts);
-                             m.set("corpus_warm_speedup", warm_speedup);
-                         m.set("corpus_bit_identical",
-                               corpus_identical);
-                         // Warm-run stats so the manifest's
-                         // harness.ckpt_* counters show corpus hits.
-                         warm_stats.registerStats(reg, "harness");
+                         grid_stats.registerStats(reg, "harness");
                          for (const ProfileKips &r : results)
                              m.set(std::string("kips_") +
                                        profileName(r.profile),

@@ -31,9 +31,6 @@ struct DynInst {
 
     // --- front-end / prediction -----------------------------------------
     Addr predNextPc = 0;
-    bool predTaken = false;
-    bool fromBtb = false;
-    bool btbMiss = false;
     BpCheckpoint bpCkpt;
 
     // --- rename ----------------------------------------------------------
@@ -59,10 +56,8 @@ struct DynInst {
     Addr effAddr = 0;
     bool effAddrValid = false;
     RegVal storeData = 0;
-    bool forwarded = false;       ///< load got data from the SQ
     /** Last issue attempt bounced off a full MSHR file (CPI stack). */
     bool mshrRejected = false;
-    HitLevel hitLevel = HitLevel::kL1;
     bool countedMiss = false;     ///< contributes to the MLP counter
     /** Unresolved-address stores this load executed past (SSB). */
     std::vector<InstSeqNum> bypassedStores;

@@ -70,29 +70,52 @@ OooCore::archRegTaint(RegId r) const
 }
 
 void
-OooCore::saveCheckpoint(SimSnapshot &out) const
+OooCore::captureThread(const ThreadContext &tc, ArchState &arch) const
 {
-    out = SimSnapshot{};
-    const ThreadContext &t0 = threads_[0];
-    ArchState &arch = out.arch;
     for (unsigned r = 0; r < kNumArchRegs; ++r)
-        arch.regs[r] = regs_.value(t0.commitMap[r]);
+        arch.regs[r] = regs_.value(tc.commitMap[r]);
     for (int i = 0; i < kNumMsrRegs; ++i)
-        arch.msrs[i] = t0.msrs[i];
+        arch.msrs[i] = tc.msrs[i];
     // The architectural PC is the oldest instruction that has not yet
     // committed; with an idle pipeline it is simply the fetch PC.
-    arch.pc = !t0.rob.empty()         ? t0.rob.front()->pc
-              : !t0.fetchQueue.empty() ? t0.fetchQueue.front()->pc
-                                       : t0.fetchPc;
-    arch.halted = t0.halted;
-    arch.instCount = committed_;
-    arch.faultCount = faultCount_;
-    arch.lastFetchLine = t0.lastFetchLine;
-    arch.mem = mem_;
+    arch.pc = !tc.rob.empty()         ? tc.rob.front()->pc
+              : !tc.fetchQueue.empty() ? tc.fetchQueue.front()->pc
+                                       : tc.fetchPc;
+    arch.halted = tc.halted;
+    arch.lastFetchLine = tc.lastFetchLine;
     if (dift_) {
         arch.hasTaint = true;
         for (unsigned r = 0; r < kNumArchRegs; ++r)
-            arch.regTaint[r] = dift_->regTaint(t0.commitMap[r]);
+            arch.regTaint[r] = dift_->regTaint(tc.commitMap[r]);
+    }
+}
+
+void
+OooCore::applyThread(const ArchState &arch, ThreadContext &tc)
+{
+    for (unsigned r = 0; r < kNumArchRegs; ++r)
+        regs_.setValue(tc.commitMap[r], arch.regs[r]);
+    for (int i = 0; i < kNumMsrRegs; ++i)
+        tc.msrs[i] = arch.msrs[i];
+    tc.fetchPc = arch.pc;
+    tc.halted = arch.halted;
+    tc.lastFetchLine = arch.lastFetchLine;
+    if (dift_ && arch.hasTaint) {
+        for (unsigned r = 0; r < kNumArchRegs; ++r)
+            dift_->setRegTaint(tc.commitMap[r], arch.regTaint[r]);
+    }
+}
+
+void
+OooCore::saveCheckpoint(SimSnapshot &out) const
+{
+    out = SimSnapshot{};
+    ArchState &arch = out.arch;
+    captureThread(threads_[0], arch);
+    arch.instCount = committed_;
+    arch.faultCount = faultCount_;
+    arch.mem = mem_;
+    if (dift_) {
         for (unsigned i = 0; i < kNumMsrRegs; ++i)
             arch.msrTaint[i] = dift_->msrTaint(i);
         arch.memTaint = dift_->memTaintMap();
@@ -100,25 +123,8 @@ OooCore::saveCheckpoint(SimSnapshot &out) const
 
     // Hardware threads beyond 0: architectural view only. Memory is
     // shared and already captured above, so their mem maps stay empty.
-    for (unsigned t = 1; t < numThreads_; ++t) {
-        const ThreadContext &tc = threads_[t];
-        ArchState extra{};
-        for (unsigned r = 0; r < kNumArchRegs; ++r)
-            extra.regs[r] = regs_.value(tc.commitMap[r]);
-        for (int i = 0; i < kNumMsrRegs; ++i)
-            extra.msrs[i] = tc.msrs[i];
-        extra.pc = !tc.rob.empty()         ? tc.rob.front()->pc
-                   : !tc.fetchQueue.empty() ? tc.fetchQueue.front()->pc
-                                            : tc.fetchPc;
-        extra.halted = tc.halted;
-        extra.lastFetchLine = tc.lastFetchLine;
-        if (dift_) {
-            extra.hasTaint = true;
-            for (unsigned r = 0; r < kNumArchRegs; ++r)
-                extra.regTaint[r] = dift_->regTaint(tc.commitMap[r]);
-        }
-        out.extraThreads.push_back(std::move(extra));
-    }
+    for (unsigned t = 1; t < numThreads_; ++t)
+        captureThread(threads_[t], out.extraThreads.emplace_back());
 
     out.hasMem = true;
     out.mem = hier_.save();
@@ -133,21 +139,12 @@ OooCore::restoreCheckpoint(const SimSnapshot &snap)
 {
     NDA_ASSERT(cycle_ == 0 && committed_ == 0 && threads_[0].rob.empty(),
                "checkpoints restore into freshly constructed cores");
-    ThreadContext &t0 = threads_[0];
     const ArchState &arch = snap.arch;
-    for (unsigned r = 0; r < kNumArchRegs; ++r)
-        regs_.setValue(t0.commitMap[r], arch.regs[r]);
-    for (int i = 0; i < kNumMsrRegs; ++i)
-        t0.msrs[i] = arch.msrs[i];
-    t0.fetchPc = arch.pc;
-    t0.halted = arch.halted;
+    applyThread(arch, threads_[0]);
     committed_ = arch.instCount;
     faultCount_ = arch.faultCount;
-    t0.lastFetchLine = arch.lastFetchLine;
     mem_ = arch.mem;
     if (dift_ && arch.hasTaint) {
-        for (unsigned r = 0; r < kNumArchRegs; ++r)
-            dift_->setRegTaint(t0.commitMap[r], arch.regTaint[r]);
         for (unsigned i = 0; i < kNumMsrRegs; ++i)
             dift_->setMsrTaint(i, arch.msrTaint[i]);
         dift_->setMemTaintMap(arch.memTaint);
@@ -156,21 +153,8 @@ OooCore::restoreCheckpoint(const SimSnapshot &snap)
     // (no extras) leaves threads 1..N-1 at their constructor state.
     const std::size_t nextra = std::min<std::size_t>(
         snap.extraThreads.size(), numThreads_ - 1);
-    for (std::size_t i = 0; i < nextra; ++i) {
-        ThreadContext &tc = threads_[i + 1];
-        const ArchState &extra = snap.extraThreads[i];
-        for (unsigned r = 0; r < kNumArchRegs; ++r)
-            regs_.setValue(tc.commitMap[r], extra.regs[r]);
-        for (int m = 0; m < kNumMsrRegs; ++m)
-            tc.msrs[m] = extra.msrs[m];
-        tc.fetchPc = extra.pc;
-        tc.halted = extra.halted;
-        tc.lastFetchLine = extra.lastFetchLine;
-        if (dift_ && extra.hasTaint) {
-            for (unsigned r = 0; r < kNumArchRegs; ++r)
-                dift_->setRegTaint(tc.commitMap[r], extra.regTaint[r]);
-        }
-    }
+    for (std::size_t i = 0; i < nextra; ++i)
+        applyThread(snap.extraThreads[i], threads_[i + 1]);
     halted_ = true;
     for (const ThreadContext &tc : threads_)
         halted_ = halted_ && tc.halted;
@@ -1409,9 +1393,7 @@ OooCore::executeLoad(const DynInstPtr &inst)
 
     unsigned latency;
     if (search.forward) {
-        inst->forwarded = true;
         inst->result = search.value;
-        inst->hitLevel = HitLevel::kL1;
         latency = hier_.params().l1d.hitLatency;
         // DIFT: taint rides the forwarded store data; a tainted
         // *address* also taints the value (the selection of what to
@@ -1465,31 +1447,30 @@ OooCore::executeLoad(const DynInstPtr &inst)
             break;
           }
         }
-        AccessResult res;
+        const MemRequestResult res =
+            shadow ? hier_.dataPeek(addr)
+                   : hier_.dataRequest(addr, cycle_, inst->seq,
+                                       MshrTargetKind::kLoad, inst->tid);
+        if (res.rejected()) {
+            // MSHR full: the load stays in the issue queue and retries
+            // next cycle, exactly like a partial-overlap store stall.
+            // Nothing was mutated, so the retry recomputes from
+            // scratch.
+            inst->effAddrValid = false;
+            inst->bypassedStores.clear();
+            inst->mshrRejected = true;
+            return false;
+        }
         if (shadow) {
-            res = hier_.dataPeek(addr);
             inst->shadowLoad = true;
             inst->peekLevel = res.level;
         } else {
-            const MemRequestResult req = hier_.dataRequest(
-                addr, cycle_, inst->seq, MshrTargetKind::kLoad, inst->tid);
-            if (req.rejected()) {
-                // MSHR full: the load stays in the issue queue and
-                // retries next cycle, exactly like a partial-overlap
-                // store stall. Nothing was mutated, so the retry
-                // recomputes from scratch.
-                inst->effAddrValid = false;
-                inst->bypassedStores.clear();
-                inst->mshrRejected = true;
-                return false;
-            }
-            res = {req.latency, req.level};
             // DIFT MSHR-contention channel: a secret-indexed miss
             // occupied a *shared* MSHR entry — backpressure the
             // co-resident thread can time, and the occupancy is not
             // reverted by this load's squash. Only exists with MSHRs.
             if (dift_ && inst->addrTaint && numThreads_ > 1 &&
-                hier_.mshrEnabled() && req.status != MemReqStatus::kHit) {
+                hier_.mshrEnabled() && res.status != MemReqStatus::kHit) {
                 dift_->recordPending(inst->seq, inst->pc,
                                      LeakChannel::kMshrContention,
                                      "mshr-occupy", addr, cycle_,
@@ -1505,7 +1486,6 @@ OooCore::executeLoad(const DynInstPtr &inst)
                                      addr, cycle_, inst->addrTaint);
             }
         }
-        inst->hitLevel = res.level;
         latency = res.latency;
         if (res.offChip()) {
             ++outstandingMisses_;
@@ -1752,9 +1732,6 @@ OooCore::fetchThread(unsigned tid)
             }
             const BranchPrediction pred =
                 bp_.predict(inst->uop, tc.fetchPc);
-            inst->predTaken = pred.taken;
-            inst->fromBtb = pred.fromBtb;
-            inst->btbMiss = pred.btbMiss;
             inst->bpCkpt = pred.ckpt;
             next = pred.nextPc;
         }

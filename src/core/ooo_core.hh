@@ -40,6 +40,7 @@
 
 namespace nda {
 
+struct ArchState;
 class InvariantChecker;
 /** Deliberate state corruptions (defined in fuzz/invariant_checker.hh). */
 enum class FuzzCorruption : std::uint8_t;
@@ -247,6 +248,13 @@ class OooCore : public CoreBase
         SquashCause lastSquashCause = SquashCause::kNone;
         Addr lastSquashPc = 0;   ///< pc of the squashing instruction
     };
+
+    /** Copy one thread's checkpointed state (regs, MSRs, pc, halted,
+     *  last fetch line, register taint) out of / into the core. Thread
+     *  0's ArchState also carries the shared state, which the callers
+     *  copy themselves. */
+    void captureThread(const ThreadContext &tc, ArchState &arch) const;
+    void applyThread(const ArchState &arch, ThreadContext &tc);
 
     // --- pipeline stages -------------------------------------------------
     void commitStage();

@@ -53,22 +53,11 @@ Cache::findLine(Addr addr)
     return nullptr;
 }
 
-const Cache::Line *
-Cache::findLineConst(Addr addr) const
-{
-    return const_cast<Cache *>(this)->findLine(addr);
-}
-
 bool
 Cache::access(Addr addr)
 {
-    ++useClock_;
-    if (Line *line = findLine(addr)) {
-        line->lastUse = useClock_;
-        ++hits_;
+    if (accessNoFill(addr))
         return true;
-    }
-    ++misses_;
     fill(addr);
     return false;
 }
@@ -89,7 +78,7 @@ Cache::accessNoFill(Addr addr)
 bool
 Cache::probe(Addr addr) const
 {
-    return findLineConst(addr) != nullptr;
+    return const_cast<Cache *>(this)->findLine(addr) != nullptr;
 }
 
 void

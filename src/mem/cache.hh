@@ -101,8 +101,6 @@ class Cache
     void registerStats(StatsRegistry &reg,
                        const std::string &prefix) const;
 
-    unsigned numSets() const { return numSets_; }
-
   private:
     Addr lineAddr(Addr addr) const { return addr / params_.lineBytes; }
     unsigned setIndex(Addr line) const
@@ -112,7 +110,6 @@ class Cache
     Addr tagOf(Addr line) const { return line / numSets_; }
 
     Line *findLine(Addr addr);
-    const Line *findLineConst(Addr addr) const;
 
     CacheParams params_;
     unsigned numSets_;

@@ -1,18 +1,23 @@
 #include "mem/hierarchy.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace nda {
 
 MemHierarchy::MemHierarchy(const HierarchyParams &params)
-    : params_(params), l1i_(params.l1i), l1d_(params.l1d),
-      l2_(params.l2),
-      mshrI_("mshr_i", params.mshrEntries, params.mshrTargets),
-      mshrD_("mshr_d", params.mshrEntries, params.mshrTargets),
-      // Sized so the L2 file can never reject a line an L1 file
+    : params_(params),
+      // The L2 file is sized so it can never reject a line an L1 file
       // accepted: every pending L2 entry is backed by at least one
       // pending L1 entry.
-      mshrL2_("mshr_l2", 2 * params.mshrEntries, params.mshrTargets)
+      levels_{{{"l2", &Snapshot::l2, Cache(params.l2),
+                Mshr("mshr_l2", 2 * params.mshrEntries,
+                     params.mshrTargets)},
+               {"l1i", &Snapshot::l1i, Cache(params.l1i),
+                Mshr("mshr_i", params.mshrEntries, params.mshrTargets)},
+               {"l1d", &Snapshot::l1d, Cache(params.l1d),
+                Mshr("mshr_d", params.mshrEntries, params.mshrTargets)}}}
 {
     NDA_ASSERT(!mshrEnabled() ||
                    (params_.l1i.lineBytes == params_.l1d.lineBytes &&
@@ -20,174 +25,125 @@ MemHierarchy::MemHierarchy(const HierarchyParams &params)
                "MSHR coalescing assumes one line size across levels");
 }
 
-AccessResult
-MemHierarchy::dataAccess(Addr addr)
-{
-    if (l1d_.access(addr))
-        return {params_.l1d.hitLatency, HitLevel::kL1};
-    if (l2_.access(addr))
-        return {params_.l2.hitLatency, HitLevel::kL2};
-    return {params_.l2.hitLatency + params_.dramLatency, HitLevel::kMemory};
-}
-
-AccessResult
-MemHierarchy::dataPeek(Addr addr) const
-{
-    if (l1d_.probe(addr))
-        return {params_.l1d.hitLatency, HitLevel::kL1};
-    if (l2_.probe(addr))
-        return {params_.l2.hitLatency, HitLevel::kL2};
-    return {params_.l2.hitLatency + params_.dramLatency, HitLevel::kMemory};
-}
-
-void
-MemHierarchy::dataFill(Addr addr)
-{
-    l1d_.fill(addr);
-    l2_.fill(addr);
-}
-
-AccessResult
-MemHierarchy::instAccess(Addr addr)
-{
-    if (l1i_.access(addr))
-        return {params_.l1i.hitLatency, HitLevel::kL1};
-    if (l2_.access(addr))
-        return {params_.l2.hitLatency, HitLevel::kL2};
-    return {params_.l2.hitLatency + params_.dramLatency, HitLevel::kMemory};
-}
-
 namespace {
 
-/** An eager access seen through the request API: the fill already
- *  landed, so nothing is ever merged or rejected. */
+/** The eager L1-then-L2 lookup. `Look` is `Cache::access` (misses
+ *  fill immediately) or `Cache::probe` (a peek that changes nothing). */
+template <auto Look, class C>
 MemRequestResult
-eagerRequest(const AccessResult &res)
+lookup(C &l1, C &l2, unsigned dram_latency, Addr addr)
 {
-    return {res.level == HitLevel::kL1 ? MemReqStatus::kHit
-                                       : MemReqStatus::kMiss,
-            res.latency, res.level};
+    if ((l1.*Look)(addr))
+        return {MemReqStatus::kHit, l1.params().hitLatency, HitLevel::kL1};
+    if ((l2.*Look)(addr))
+        return {MemReqStatus::kMiss, l2.params().hitLatency,
+                HitLevel::kL2};
+    return {MemReqStatus::kMiss, l2.params().hitLatency + dram_latency,
+            HitLevel::kMemory};
 }
 
 } // namespace
 
 MemRequestResult
+MemHierarchy::dataAccess(Addr addr)
+{
+    return lookup<&Cache::access>(l1d(), l2(), params_.dramLatency, addr);
+}
+
+MemRequestResult
+MemHierarchy::instAccess(Addr addr)
+{
+    return lookup<&Cache::access>(l1i(), l2(), params_.dramLatency, addr);
+}
+
+MemRequestResult
+MemHierarchy::dataPeek(Addr addr) const
+{
+    return lookup<&Cache::probe>(l1d(), l2(), params_.dramLatency, addr);
+}
+
+void
+MemHierarchy::dataFill(Addr addr)
+{
+    l1d().fill(addr);
+    l2().fill(addr);
+}
+
+MemRequestResult
 MemHierarchy::dataRequest(Addr addr, Cycle now, InstSeqNum seq,
                           MshrTargetKind kind, unsigned tid)
 {
-    if (!mshrEnabled())
-        return eagerRequest(dataAccess(addr));
-    if (l1d_.probe(addr)) {
-        l1d_.access(addr);
-        return {MemReqStatus::kHit, params_.l1d.hitLatency,
-                HitLevel::kL1};
-    }
-
-    const Addr line = lineOf(addr);
-    const MshrTarget target{seq, kind, tid};
-
-    // Secondary miss: the line is already on its way to L1D.
-    if (MshrEntry *e = mshrD_.find(line)) {
-        if (!mshrD_.addTarget(*e, target))
-            return {MemReqStatus::kRejected, 0, HitLevel::kMemory};
-        l1d_.accessNoFill(addr);
-        const bool off = e->fillAt > now + params_.l2.hitLatency;
-        return {MemReqStatus::kMerged,
-                static_cast<unsigned>(e->fillAt - now),
-                off ? HitLevel::kMemory : HitLevel::kL2};
-    }
-
-    if (mshrD_.full()) {
-        mshrD_.noteFullStall();
-        return {MemReqStatus::kRejected, 0, HitLevel::kMemory};
-    }
-
-    // Primary miss filled from L2.
-    if (l2_.probe(addr)) {
-        l1d_.accessNoFill(addr);
-        l2_.access(addr);
-        const unsigned lat = params_.l2.hitLatency;
-        mshrD_.allocate(line, now + lat, target);
-        return {MemReqStatus::kMiss, lat, HitLevel::kL2};
-    }
-
-    // L2 miss: coalesce onto an in-flight DRAM request (possibly one
-    // the instruction side started) or start a new one.
-    if (MshrEntry *e2 = mshrL2_.find(line)) {
-        if (!mshrL2_.addTarget(*e2, target))
-            return {MemReqStatus::kRejected, 0, HitLevel::kMemory};
-        l1d_.accessNoFill(addr);
-        l2_.accessNoFill(addr);
-        mshrD_.allocate(line, e2->fillAt, target);
-        return {MemReqStatus::kMerged,
-                static_cast<unsigned>(e2->fillAt - now),
-                HitLevel::kMemory};
-    }
-    NDA_ASSERT(!mshrL2_.full(),
-               "L2 MSHR file full despite L1-backed sizing");
-    l1d_.accessNoFill(addr);
-    l2_.accessNoFill(addr);
-    const unsigned lat = params_.l2.hitLatency + params_.dramLatency;
-    mshrL2_.allocate(line, now + lat, target);
-    mshrD_.allocate(line, now + lat, target);
-    return {MemReqStatus::kMiss, lat, HitLevel::kMemory};
+    return request(levels_[kL1D], addr, now, {seq, kind, tid});
 }
 
 MemRequestResult
 MemHierarchy::instRequest(Addr addr, Cycle now)
 {
+    return request(levels_[kL1I], addr, now,
+                   {kInvalidSeqNum, MshrTargetKind::kFetch});
+}
+
+MemRequestResult
+MemHierarchy::request(Level &l1, Addr addr, Cycle now,
+                      const MshrTarget &target)
+{
+    Cache &l2 = levels_[kL2].cache;
     if (!mshrEnabled())
-        return eagerRequest(instAccess(addr));
-    if (l1i_.probe(addr)) {
-        l1i_.access(addr);
-        return {MemReqStatus::kHit, params_.l1i.hitLatency,
+        return lookup<&Cache::access>(l1.cache, l2, params_.dramLatency,
+                                      addr);
+    if (l1.cache.probe(addr)) {
+        l1.cache.access(addr);
+        return {MemReqStatus::kHit, l1.cache.params().hitLatency,
                 HitLevel::kL1};
     }
 
-    const Addr line = lineOf(addr);
-    const MshrTarget target{kInvalidSeqNum, MshrTargetKind::kFetch};
+    constexpr MemRequestResult kReject{MemReqStatus::kRejected, 0,
+                                       HitLevel::kMemory};
+    const Addr line = addr / l1.cache.params().lineBytes;
+    const unsigned l2_latency = l2.params().hitLatency;
 
-    if (MshrEntry *e = mshrI_.find(line)) {
-        if (!mshrI_.addTarget(*e, target))
-            return {MemReqStatus::kRejected, 0, HitLevel::kMemory};
-        l1i_.accessNoFill(addr);
-        const bool off = e->fillAt > now + params_.l2.hitLatency;
+    // Secondary miss: the line is already on its way to this L1.
+    if (MshrEntry *e = l1.mshr.find(line)) {
+        if (!l1.mshr.addTarget(*e, target))
+            return kReject;
+        l1.cache.accessNoFill(addr);
+        const bool off = e->fillAt > now + l2_latency;
         return {MemReqStatus::kMerged,
                 static_cast<unsigned>(e->fillAt - now),
                 off ? HitLevel::kMemory : HitLevel::kL2};
     }
 
-    if (mshrI_.full()) {
-        mshrI_.noteFullStall();
-        return {MemReqStatus::kRejected, 0, HitLevel::kMemory};
+    if (l1.mshr.full()) {
+        l1.mshr.noteFullStall();
+        return kReject;
     }
 
-    if (l2_.probe(addr)) {
-        l1i_.accessNoFill(addr);
-        l2_.access(addr);
-        const unsigned lat = params_.l2.hitLatency;
-        mshrI_.allocate(line, now + lat, target);
-        return {MemReqStatus::kMiss, lat, HitLevel::kL2};
+    // Primary miss filled from L2.
+    if (l2.probe(addr)) {
+        l1.cache.accessNoFill(addr);
+        l2.access(addr);
+        l1.mshr.allocate(line, now + l2_latency, target);
+        return {MemReqStatus::kMiss, l2_latency, HitLevel::kL2};
     }
 
-    if (MshrEntry *e2 = mshrL2_.find(line)) {
-        if (!mshrL2_.addTarget(*e2, target))
-            return {MemReqStatus::kRejected, 0, HitLevel::kMemory};
-        l1i_.accessNoFill(addr);
-        l2_.accessNoFill(addr);
-        mshrI_.allocate(line, e2->fillAt, target);
-        return {MemReqStatus::kMerged,
-                static_cast<unsigned>(e2->fillAt - now),
-                HitLevel::kMemory};
-    }
-    NDA_ASSERT(!mshrL2_.full(),
+    // L2 miss: coalesce onto an in-flight DRAM request (possibly one
+    // the other L1 side started) or start a new one.
+    Mshr &l2_file = levels_[kL2].mshr;
+    MshrEntry *inflight = l2_file.find(line);
+    if (inflight && !l2_file.addTarget(*inflight, target))
+        return kReject;
+    NDA_ASSERT(inflight || !l2_file.full(),
                "L2 MSHR file full despite L1-backed sizing");
-    l1i_.accessNoFill(addr);
-    l2_.accessNoFill(addr);
-    const unsigned lat = params_.l2.hitLatency + params_.dramLatency;
-    mshrL2_.allocate(line, now + lat, target);
-    mshrI_.allocate(line, now + lat, target);
-    return {MemReqStatus::kMiss, lat, HitLevel::kMemory};
+    l1.cache.accessNoFill(addr);
+    l2.accessNoFill(addr);
+    const Cycle fill_at = inflight
+                              ? inflight->fillAt
+                              : now + l2_latency + params_.dramLatency;
+    if (!inflight)
+        l2_file.allocate(line, fill_at, target);
+    l1.mshr.allocate(line, fill_at, target);
+    return {inflight ? MemReqStatus::kMerged : MemReqStatus::kMiss,
+            static_cast<unsigned>(fill_at - now), HitLevel::kMemory};
 }
 
 void
@@ -195,55 +151,47 @@ MemHierarchy::advance(Cycle now)
 {
     if (!mshrEnabled())
         return;
-    // L2 fills land before the L1 fills that depend on them; within a
-    // file, (fillAt, allocation) order — bit-reproducible for any
-    // request interleaving.
-    for (const MshrEntry &e : mshrL2_.takeReady(now))
-        l2_.fill(lineToAddr(e.lineAddr));
-    for (const MshrEntry &e : mshrI_.takeReady(now))
-        l1i_.fill(lineToAddr(e.lineAddr));
-    for (const MshrEntry &e : mshrD_.takeReady(now))
-        l1d_.fill(lineToAddr(e.lineAddr));
-    mshrL2_.sampleOccupancy();
-    mshrI_.sampleOccupancy();
-    mshrD_.sampleOccupancy();
+    // Levels in drain order; within a file, (fillAt, allocation)
+    // order — bit-reproducible for any request interleaving.
+    for (Level &lv : levels_) {
+        lv.drain(now);
+        lv.mshr.sampleOccupancy();
+    }
+}
+
+void
+MemHierarchy::Level::drain(Cycle now)
+{
+    for (const MshrEntry &e : mshr.takeReady(now))
+        cache.fill(e.lineAddr * cache.params().lineBytes);
 }
 
 void
 MemHierarchy::squashLoadTargets(InstSeqNum keep_seq, unsigned tid)
 {
-    if (!mshrEnabled())
-        return;
-    mshrD_.squashLoadTargets(keep_seq, tid);
-    mshrL2_.squashLoadTargets(keep_seq, tid);
+    for (Level &lv : levels_)
+        lv.mshr.squashLoadTargets(keep_seq, tid);
 }
 
-namespace {
-
-/** Apply a file's pending fills to a captured tag image. */
-void
-drainInto(const Mshr &file, const CacheParams &params,
-          Cache::Snapshot &snap)
+bool
+MemHierarchy::mshrDrained() const
 {
-    if (file.empty())
-        return;
-    Cache tmp(params);
-    tmp.restore(snap);
-    for (const MshrEntry &e : file.pendingSorted())
-        tmp.fill(e.lineAddr * params.lineBytes);
-    snap = tmp.save();
+    return std::all_of(levels_.begin(), levels_.end(),
+                       [](const Level &lv) { return lv.mshr.empty(); });
 }
-
-} // namespace
 
 MemHierarchy::Snapshot
 MemHierarchy::save() const
 {
-    Snapshot snap{l1i_.save(), l1d_.save(), l2_.save()};
-    if (!mshrDrained()) {
-        drainInto(mshrL2_, params_.l2, snap.l2);
-        drainInto(mshrI_, params_.l1i, snap.l1i);
-        drainInto(mshrD_, params_.l1d, snap.l1d);
+    Snapshot snap;
+    for (const Level &lv : levels_) {
+        if (lv.mshr.empty()) {
+            snap.*lv.image = lv.cache.save();
+            continue;
+        }
+        Level landed = lv; // every pending fill lands in a copy
+        landed.drain(~Cycle{0});
+        snap.*lv.image = landed.cache.save();
     }
     return snap;
 }
@@ -251,40 +199,44 @@ MemHierarchy::save() const
 void
 MemHierarchy::restore(const Snapshot &snap)
 {
-    l1i_.restore(snap.l1i);
-    l1d_.restore(snap.l1d);
-    l2_.restore(snap.l2);
-    mshrI_.clear();
-    mshrD_.clear();
-    mshrL2_.clear();
+    for (Level &lv : levels_) {
+        lv.cache.restore(snap.*lv.image);
+        lv.mshr.clear();
+    }
 }
 
 void
 MemHierarchy::flushLine(Addr addr)
 {
-    l1d_.flush(addr);
-    l1i_.flush(addr);
-    l2_.flush(addr);
+    for (Level &lv : levels_)
+        lv.cache.flush(addr);
 }
 
 void
 MemHierarchy::flushAll()
 {
-    l1i_.flushAll();
-    l1d_.flushAll();
-    l2_.flushAll();
+    for (Level &lv : levels_)
+        lv.cache.flushAll();
+}
+
+void
+MemHierarchy::resetStats()
+{
+    for (Level &lv : levels_) {
+        lv.cache.resetStats();
+        lv.mshr.resetStats();
+    }
 }
 
 void
 MemHierarchy::registerStats(StatsRegistry &reg,
                             const std::string &prefix) const
 {
-    l1i_.registerStats(reg, prefix + ".l1i");
-    l1d_.registerStats(reg, prefix + ".l1d");
-    l2_.registerStats(reg, prefix + ".l2");
-    mshrI_.registerStats(reg, prefix + ".l1i");
-    mshrD_.registerStats(reg, prefix + ".l1d");
-    mshrL2_.registerStats(reg, prefix + ".l2");
+    for (const Level &lv : levels_) {
+        const std::string group = prefix + "." + lv.name;
+        lv.cache.registerStats(reg, group);
+        lv.mshr.registerStats(reg, group);
+    }
 }
 
 } // namespace nda

@@ -4,27 +4,30 @@
  * split 32 KiB L1I/L1D (4-cycle round trip), unified 2 MiB L2
  * (40-cycle round trip), 50 ns DRAM (100 cycles at 2 GHz).
  *
- * The timing cores reach it through one request API (`dataRequest`,
- * `instRequest`, `advance`, `squashLoadTargets`); the hierarchy alone
- * chooses which of two timing modes serves it:
+ * Each level is a tag array (mem/cache.hh) plus the MSHR file
+ * (mem/mshr.hh) that fronts it; whole-hierarchy operations loop over
+ * the three levels, and one private miss routine, `request()`, serves
+ * both L1 sides. The timing cores reach it through `dataRequest`,
+ * `instRequest`, `advance` and `squashLoadTargets`; the hierarchy
+ * alone picks the timing mode:
  *  - mshrEntries == 0 (default): the legacy eager model — a miss
  *    charges its latency and fills tags immediately, so a request is
- *    kHit exactly when L1 hits, is never merged or rejected, and
- *    `advance()` has nothing to do. This is the bit-exact behaviour
- *    every pre-MSHR golden, checkpoint, and fuzzer fingerprint was
- *    recorded against.
+ *    kHit exactly when L1 hits and is never merged or rejected. Every
+ *    pre-MSHR golden, checkpoint, and fuzzer fingerprint was recorded
+ *    against it.
  *  - mshrEntries >= 1: non-blocking mode. Misses allocate MSHR
- *    entries (mem/mshr.hh) and the tags fill only when `advance()`
- *    reaches the scheduled fill cycle; a full file rejects the
- *    request (the core retries). mshrEntries == 1 per L1 file is the
- *    canonical *blocking* configuration: one miss in flight.
- * `dataAccess`/`instAccess` are the eager path itself, used directly
- * by functional warming and by the in-order core's prefetch touch.
+ *    entries and the tags fill only when `advance()` reaches the fill
+ *    cycle; a full file rejects the request (the core retries).
+ *    mshrEntries == 1 is the canonical *blocking* configuration.
+ * The eager lookups `dataAccess`/`instAccess` (functional warming, the
+ * in-order core's prefetch touch) and the non-mutating `dataPeek`
+ * share one L1-then-L2 walk.
  */
 
 #ifndef NDASIM_MEM_HIERARCHY_HH
 #define NDASIM_MEM_HIERARCHY_HH
 
+#include <array>
 #include <cstdint>
 
 #include "common/types.hh"
@@ -36,23 +39,17 @@ namespace nda {
 /** Which level serviced an access. */
 enum class HitLevel : std::uint8_t { kL1, kL2, kMemory };
 
-/** Timing outcome of one access. */
-struct AccessResult {
-    unsigned latency = 0;
-    HitLevel level = HitLevel::kL1;
-
-    bool offChip() const { return level == HitLevel::kMemory; }
-};
-
 /** Outcome class of one non-blocking request. */
 enum class MemReqStatus : std::uint8_t {
     kHit = 0,   ///< serviced by L1; no MSHR involvement
-    kMiss,      ///< primary miss: an MSHR entry was allocated
+    kMiss,      ///< L1 miss; with MSHRs, a primary miss (entry allocated)
     kMerged,    ///< secondary miss: coalesced onto an in-flight fill
     kRejected,  ///< MSHR file (or target list) full; retry next cycle
 };
 
-/** Timing outcome of one non-blocking request. */
+/** Timing outcome of one request, access or peek. The eager paths
+ *  (no MSHRs, `dataAccess`, `instAccess`, `dataPeek`) report only
+ *  kHit (L1) or kMiss. */
 struct MemRequestResult {
     MemReqStatus status = MemReqStatus::kHit;
     unsigned latency = 0;       ///< cycles until the data is usable
@@ -115,21 +112,17 @@ class MemHierarchy
      *  constructed cores; nothing can be waiting on a fill). */
     void restore(const Snapshot &snap);
 
-    /** Data access (load or store, write-allocate); mutates state.
-     *  Legacy eager path: misses fill immediately. */
-    AccessResult dataAccess(Addr addr);
-
-    /**
-     * Compute the latency a data access would see *without* changing
-     * any cache state (InvisiSpec speculative shadow access).
-     */
-    AccessResult dataPeek(Addr addr) const;
+    /** Eager data access (load or store, write-allocate): a miss
+     *  fills immediately. */
+    MemRequestResult dataAccess(Addr addr);
+    /** Eager instruction fetch access; mutates L1I/L2 state. */
+    MemRequestResult instAccess(Addr addr);
+    /** The latency a data access would see, changing no cache state
+     *  (InvisiSpec speculative shadow access). */
+    MemRequestResult dataPeek(Addr addr) const;
 
     /** Fill the line containing addr into L1D and L2 (expose). */
     void dataFill(Addr addr);
-
-    /** Instruction fetch access; mutates L1I/L2 state (legacy path). */
-    AccessResult instAccess(Addr addr);
 
     // --- request interface (both timing modes) -------------------------
     /**
@@ -162,17 +155,13 @@ class MemHierarchy
 
     bool mshrEnabled() const { return params_.mshrEntries > 0; }
     /** No fill in flight in any file. */
-    bool
-    mshrDrained() const
-    {
-        return mshrI_.empty() && mshrD_.empty() && mshrL2_.empty();
-    }
+    bool mshrDrained() const;
 
-    const Mshr &mshrData() const { return mshrD_; }
-    const Mshr &mshrInst() const { return mshrI_; }
-    const Mshr &mshrL2() const { return mshrL2_; }
+    const Mshr &mshrData() const { return levels_[kL1D].mshr; }
+    const Mshr &mshrInst() const { return levels_[kL1I].mshr; }
+    const Mshr &mshrL2() const { return levels_[kL2].mshr; }
     /** Checker self-test corruption hooks (tests only). */
-    Mshr &mshrDataForTest() { return mshrD_; }
+    Mshr &mshrDataForTest() { return levels_[kL1D].mshr; }
 
     /** clflush semantics: evict the line from L1D, L1I and L2. */
     void flushLine(Addr addr);
@@ -180,23 +169,14 @@ class MemHierarchy
     /** Invalidate all caches. */
     void flushAll();
 
-    Cache &l1i() { return l1i_; }
-    Cache &l1d() { return l1d_; }
-    Cache &l2() { return l2_; }
-    const Cache &l1d() const { return l1d_; }
-    const Cache &l2() const { return l2_; }
+    Cache &l1i() { return levels_[kL1I].cache; }
+    Cache &l1d() { return levels_[kL1D].cache; }
+    Cache &l2() { return levels_[kL2].cache; }
+    const Cache &l1d() const { return levels_[kL1D].cache; }
+    const Cache &l2() const { return levels_[kL2].cache; }
     const HierarchyParams &params() const { return params_; }
 
-    void
-    resetStats()
-    {
-        l1i_.resetStats();
-        l1d_.resetStats();
-        l2_.resetStats();
-        mshrI_.resetStats();
-        mshrD_.resetStats();
-        mshrL2_.resetStats();
-    }
+    void resetStats();
 
     /** Bind each level's stats under `prefix`.l1i / .l1d / .l2
      *  (MSHR stats included unconditionally: the schema must not
@@ -205,20 +185,28 @@ class MemHierarchy
                        const std::string &prefix) const;
 
   private:
-    Addr lineOf(Addr addr) const { return addr / params_.l1d.lineBytes; }
-    Addr
-    lineToAddr(Addr line) const
-    {
-        return line * params_.l1d.lineBytes;
-    }
+    /** One cache level and the MSHR file that fronts it. */
+    struct Level {
+        const char *name;                 ///< stats group (l1i/l1d/l2)
+        Cache::Snapshot Snapshot::*image; ///< its tag image in a Snapshot
+        Cache cache;
+        Mshr mshr;
+
+        /** Land every fill due at or before `now` in the tags, in
+         *  (fillAt, allocation) order. */
+        void drain(Cycle now);
+    };
+    /** Index into `levels_`, in drain order: L2 fills land before the
+     *  L1 fills that depend on them. */
+    enum LevelId : std::size_t { kL2, kL1I, kL1D };
+
+    /** Either L1 side's request: the eager lookup without MSHRs, else
+     *  probe, hit, coalesce, reject, L2 hit, L2 coalesce, DRAM. */
+    MemRequestResult request(Level &l1, Addr addr, Cycle now,
+                             const MshrTarget &target);
 
     HierarchyParams params_;
-    Cache l1i_;
-    Cache l1d_;
-    Cache l2_;
-    Mshr mshrI_;
-    Mshr mshrD_;
-    Mshr mshrL2_;
+    std::array<Level, 3> levels_;
 };
 
 } // namespace nda

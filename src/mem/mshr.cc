@@ -1,6 +1,7 @@
 #include "mem/mshr.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/log.hh"
 #include "obs/stats_registry.hh"
@@ -24,12 +25,6 @@ Mshr::find(Addr line)
             return &e;
     }
     return nullptr;
-}
-
-const MshrEntry *
-Mshr::find(Addr line) const
-{
-    return const_cast<Mshr *>(this)->find(line);
 }
 
 MshrEntry &
@@ -59,34 +54,19 @@ Mshr::addTarget(MshrEntry &entry, MshrTarget target)
 std::vector<MshrEntry>
 Mshr::takeReady(Cycle now)
 {
-    std::vector<MshrEntry> ready;
-    for (std::size_t i = 0; i < pending_.size();) {
-        if (pending_[i].fillAt <= now) {
-            ready.push_back(std::move(pending_[i]));
-            pending_.erase(pending_.begin() +
-                           static_cast<std::ptrdiff_t>(i));
-        } else {
-            ++i;
-        }
-    }
+    // Still-pending entries keep their allocation order up front.
+    const auto due = std::stable_partition(
+        pending_.begin(), pending_.end(),
+        [now](const MshrEntry &e) { return e.fillAt > now; });
+    std::vector<MshrEntry> ready(std::make_move_iterator(due),
+                                 std::make_move_iterator(pending_.end()));
+    pending_.erase(due, pending_.end());
     std::sort(ready.begin(), ready.end(),
               [](const MshrEntry &a, const MshrEntry &b) {
                   return a.fillAt != b.fillAt ? a.fillAt < b.fillAt
                                               : a.allocId < b.allocId;
               });
     return ready;
-}
-
-std::vector<MshrEntry>
-Mshr::pendingSorted() const
-{
-    std::vector<MshrEntry> all = pending_;
-    std::sort(all.begin(), all.end(),
-              [](const MshrEntry &a, const MshrEntry &b) {
-                  return a.fillAt != b.fillAt ? a.fillAt < b.fillAt
-                                              : a.allocId < b.allocId;
-              });
-    return all;
 }
 
 void
@@ -155,7 +135,7 @@ Mshr::testAddGhostTarget(InstSeqNum seq)
 bool
 Mshr::testOverflow(Cycle fillAt)
 {
-    if (!enabled())
+    if (entries_ == 0)
         return false;
     // Distinct impossible lines at a legal fill cycle: trips only the
     // occupancy invariant, not duplicate-primary or stuck-fill.

@@ -65,7 +65,6 @@ class Mshr
   public:
     Mshr(std::string name, unsigned entries, unsigned maxTargets);
 
-    bool enabled() const { return entries_ > 0; }
     bool full() const { return pending_.size() >= entries_; }
     bool empty() const { return pending_.empty(); }
     std::size_t occupancy() const { return pending_.size(); }
@@ -74,7 +73,6 @@ class Mshr
 
     /** The pending entry tracking `line`, or nullptr. */
     MshrEntry *find(Addr line);
-    const MshrEntry *find(Addr line) const;
 
     /**
      * Allocate a primary entry for `line` filling at `fillAt`.
@@ -95,10 +93,6 @@ class Mshr
      * in the order the memory system would deliver them.
      */
     std::vector<MshrEntry> takeReady(Cycle now);
-
-    /** All pending entries in deterministic fill order (for the
-     *  drain-into-snapshot path; does not modify the file). */
-    std::vector<MshrEntry> pendingSorted() const;
 
     /** Squash: drop thread `tid`'s load targets younger than
      *  `keep_seq`. Other threads' targets and the entries themselves

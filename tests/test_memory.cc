@@ -200,7 +200,7 @@ TEST(Hierarchy, InstAndDataAreSplitL1)
 
 TEST(Hierarchy, OffChipPredicate)
 {
-    AccessResult r;
+    MemRequestResult r;
     r.level = HitLevel::kMemory;
     EXPECT_TRUE(r.offChip());
     r.level = HitLevel::kL2;

@@ -96,70 +96,97 @@ TEST(Mshr, SquashDropsOnlyYoungLoadTargets)
 
 // --- hierarchy request path --------------------------------------------
 
+/** One L1 side of the hierarchy, so a request-path test runs on the
+ *  data side and the instruction side alike. */
+struct Side {
+    const char *name;
+    bool inst;
+
+    MemRequestResult
+    request(MemHierarchy &hier, Addr addr, Cycle now, InstSeqNum seq) const
+    {
+        return inst ? hier.instRequest(addr, now)
+                    : hier.dataRequest(addr, now, seq,
+                                       MshrTargetKind::kLoad);
+    }
+    const Mshr &
+    file(const MemHierarchy &hier) const
+    {
+        return inst ? hier.mshrInst() : hier.mshrData();
+    }
+    Cache &
+    cache(MemHierarchy &hier) const
+    {
+        return inst ? hier.l1i() : hier.l1d();
+    }
+};
+
+constexpr Side kSides[] = {{"data", false}, {"inst", true}};
+
 TEST(MshrHierarchy, PrimaryThenCoalesceThenHit)
 {
-    MemHierarchy hier(mshrParams(4));
-    const Addr addr = 0x100000;
+    for (const Side &side : kSides) {
+        SCOPED_TRACE(side.name);
+        MemHierarchy hier(mshrParams(4));
+        const Addr addr = 0x100000;
 
-    // Cold DRAM miss: full round trip, entry allocated.
-    const MemRequestResult miss = hier.dataRequest(
-        addr, 10, 1, MshrTargetKind::kLoad);
-    EXPECT_EQ(miss.status, MemReqStatus::kMiss);
-    EXPECT_EQ(miss.latency, kMissLat);
-    EXPECT_TRUE(miss.offChip());
+        // Cold DRAM miss: full round trip, entry allocated.
+        const MemRequestResult miss = side.request(hier, addr, 10, 1);
+        EXPECT_EQ(miss.status, MemReqStatus::kMiss);
+        EXPECT_EQ(miss.latency, kMissLat);
+        EXPECT_TRUE(miss.offChip());
 
-    // Same line 30 cycles later: coalesced, shorter wait, no second
-    // entry in either file.
-    const MemRequestResult merged = hier.dataRequest(
-        addr + 8, 40, 2, MshrTargetKind::kLoad);
-    EXPECT_EQ(merged.status, MemReqStatus::kMerged);
-    EXPECT_EQ(merged.latency, kMissLat - 30);
-    EXPECT_TRUE(merged.offChip());
-    EXPECT_EQ(hier.mshrData().occupancy(), 1u);
-    EXPECT_EQ(hier.mshrL2().occupancy(), 1u);
-    EXPECT_EQ(hier.mshrData().secondaryMerges(), 1u);
+        // Same line 30 cycles later: coalesced, shorter wait, no
+        // second entry in either file.
+        const MemRequestResult merged =
+            side.request(hier, addr + 8, 40, 2);
+        EXPECT_EQ(merged.status, MemReqStatus::kMerged);
+        EXPECT_EQ(merged.latency, kMissLat - 30);
+        EXPECT_TRUE(merged.offChip());
+        EXPECT_EQ(side.file(hier).occupancy(), 1u);
+        EXPECT_EQ(hier.mshrL2().occupancy(), 1u);
+        EXPECT_EQ(side.file(hier).secondaryMerges(), 1u);
 
-    // The tags must not hold the line until the fill is due...
-    hier.advance(10 + kMissLat - 1);
-    EXPECT_FALSE(hier.l1d().probe(addr));
+        // The tags must not hold the line until the fill is due...
+        hier.advance(10 + kMissLat - 1);
+        EXPECT_FALSE(side.cache(hier).probe(addr));
 
-    // ...and must hold it afterwards: the request path sees a hit.
-    hier.advance(10 + kMissLat);
-    EXPECT_TRUE(hier.mshrDrained());
-    const MemRequestResult hit = hier.dataRequest(
-        addr, 10 + kMissLat, 3, MshrTargetKind::kLoad);
-    EXPECT_EQ(hit.status, MemReqStatus::kHit);
-    EXPECT_EQ(hit.latency, kL1Lat);
+        // ...and must hold it afterwards: the request path sees a hit.
+        hier.advance(10 + kMissLat);
+        EXPECT_TRUE(hier.mshrDrained());
+        const MemRequestResult hit =
+            side.request(hier, addr, 10 + kMissLat, 3);
+        EXPECT_EQ(hit.status, MemReqStatus::kHit);
+        EXPECT_EQ(hit.latency, kL1Lat);
+    }
 }
 
 TEST(MshrHierarchy, FullFileRejectsWithoutMutating)
 {
-    MemHierarchy hier(mshrParams(2));
-    EXPECT_EQ(hier.dataRequest(0x100000, 0, 1, MshrTargetKind::kLoad)
-                  .status,
-              MemReqStatus::kMiss);
-    EXPECT_EQ(hier.dataRequest(0x200000, 0, 2, MshrTargetKind::kLoad)
-                  .status,
-              MemReqStatus::kMiss);
+    for (const Side &side : kSides) {
+        SCOPED_TRACE(side.name);
+        MemHierarchy hier(mshrParams(2));
+        EXPECT_EQ(side.request(hier, 0x100000, 0, 1).status,
+                  MemReqStatus::kMiss);
+        EXPECT_EQ(side.request(hier, 0x200000, 0, 2).status,
+                  MemReqStatus::kMiss);
 
-    const std::uint64_t hits = hier.l1d().hits();
-    const std::uint64_t misses = hier.l1d().misses();
-    const MemRequestResult rej = hier.dataRequest(
-        0x300000, 1, 3, MshrTargetKind::kLoad);
-    EXPECT_TRUE(rej.rejected());
-    EXPECT_EQ(hier.mshrData().fullStalls(), 1u);
-    // A rejected request must leave no trace: the retry recomputes
-    // from scratch.
-    EXPECT_EQ(hier.l1d().hits(), hits);
-    EXPECT_EQ(hier.l1d().misses(), misses);
-    EXPECT_EQ(hier.mshrData().occupancy(), 2u);
+        const MemHierarchy::Snapshot before = hier.save();
+        const MemRequestResult rej = side.request(hier, 0x300000, 1, 3);
+        EXPECT_TRUE(rej.rejected());
+        EXPECT_EQ(side.file(hier).fullStalls(), 1u);
+        // A rejected request must leave no trace: the retry recomputes
+        // from scratch. The snapshot holds every level's tags, LRU
+        // clock and hit/miss/fill counts.
+        EXPECT_EQ(hier.save(), before);
+        EXPECT_EQ(side.file(hier).occupancy(), 2u);
+        EXPECT_EQ(hier.mshrL2().occupancy(), 2u);
 
-    // Draining frees the slot and the retry succeeds.
-    hier.advance(kMissLat);
-    EXPECT_EQ(hier.dataRequest(0x300000, kMissLat, 3,
-                               MshrTargetKind::kLoad)
-                  .status,
-              MemReqStatus::kMiss);
+        // Draining frees the slot and the retry succeeds.
+        hier.advance(kMissLat);
+        EXPECT_EQ(side.request(hier, 0x300000, kMissLat, 3).status,
+                  MemReqStatus::kMiss);
+    }
 }
 
 TEST(MshrHierarchy, SquashOrphansTheFill)
@@ -249,14 +276,16 @@ TEST(MshrHierarchy, ZeroEntriesServeRequestsEagerly)
             st.inst ? req.instRequest(st.addr, now)
                     : req.dataRequest(st.addr, now, now,
                                       MshrTargetKind::kLoad);
-        const AccessResult want = st.inst ? eager.instAccess(st.addr)
+        const MemRequestResult want = st.inst
+                                          ? eager.instAccess(st.addr)
                                           : eager.dataAccess(st.addr);
         EXPECT_EQ(want.level, st.level);
+        EXPECT_EQ(want.status, st.level == HitLevel::kL1
+                                   ? MemReqStatus::kHit
+                                   : MemReqStatus::kMiss);
+        EXPECT_EQ(got.status, want.status);
         EXPECT_EQ(got.level, want.level);
         EXPECT_EQ(got.latency, want.latency);
-        EXPECT_EQ(got.status, want.level == HitLevel::kL1
-                                  ? MemReqStatus::kHit
-                                  : MemReqStatus::kMiss);
         now += got.latency;
         req.advance(now);
         req.squashLoadTargets(0);
