@@ -17,7 +17,6 @@
 #include <algorithm>
 
 #include "attacks/attacks.hh"
-#include "attacks/covert_channel.hh"
 #include "core/core_factory.hh"
 #include "bench_common.hh"
 #include "common/stats_util.hh"
@@ -92,22 +91,10 @@ main(int argc, char **argv)
             cfg.core.predictor.btb.tagBits = bits;
             auto core = makeCore(prog, cfg);
             core->run(~std::uint64_t{0}, 40'000'000);
-            // Reuse the attack's evaluation by re-running via run()
-            // only for the 4-bit case; for others evaluate manually.
             AttackResult r;
             r.secret = 42;
             r.threshold = atk.signalThreshold();
-            std::array<double, 256> times{};
-            for (int g = 0; g < 256; ++g) {
-                times[g] = static_cast<double>(core->mem().read(
-                    attack_layout::kResultsBase +
-                        static_cast<Addr>(g) * 8, 8));
-            }
-            r.timings = times;
-            auto sorted = times;
-            std::nth_element(sorted.begin(), sorted.begin() + 128,
-                             sorted.end());
-            r.signal = sorted[128] - times[42];
+            AttackBase::recoverByTiming(*core, r);
             t.addRow({std::to_string(bits),
                       r.leaked() ? "LEAK" : "blocked"});
         }

@@ -61,17 +61,14 @@ struct InterpMips {
  * Run every workload for `insts_each` functional instructions on a
  * fresh interpreter and report aggregate host throughput.
  * `warm` attaches a default-geometry hierarchy + predictor (the grid
- * fast-forward configuration); `step_loop` drives the legacy
- * switch-dispatched step() oracle instead of the threaded run() loop,
- * giving the before/after comparison on identical work.
+ * fast-forward configuration).
  */
 InterpMips
 measureInterp(const std::vector<std::unique_ptr<Workload>> &workloads,
-              std::uint64_t seed, std::uint64_t insts_each, bool warm,
-              bool step_loop)
+              std::uint64_t seed, std::uint64_t insts_each, bool warm)
 {
     InterpMips r;
-    r.mode = step_loop ? "interp-step" : warm ? "interp+warm" : "interp";
+    r.mode = warm ? "interp+warm" : "interp";
     const auto t0 = Clock::now();
     for (const auto &w : workloads) {
         const Program prog = w->build(seed);
@@ -80,15 +77,7 @@ measureInterp(const std::vector<std::unique_ptr<Workload>> &workloads,
         PredictorUnit bp{PredictorParams{}};
         if (warm)
             interp.attachWarming(&hier, &bp);
-        if (step_loop) {
-            const std::uint64_t start = interp.instCount();
-            while (!interp.halted() &&
-                   interp.instCount() - start < insts_each)
-                interp.step();
-            r.instructions += interp.instCount() - start;
-        } else {
-            r.instructions += interp.run(insts_each);
-        }
+        r.instructions += interp.run(insts_each);
         r.warm += interp.warmingWork();
     }
     r.seconds = secondsSince(t0);
@@ -151,30 +140,24 @@ main(int argc, char **argv)
     for (const std::string &n : names)
         workloads.push_back(makeWorkload(n));
 
-    // Interpreter throughput: bare (checkpoint placement), with
-    // functional warming attached (the grid fast-forward engine), and
-    // through the legacy step() oracle as the dispatch baseline.
+    // Interpreter throughput: bare (checkpoint placement) and with
+    // functional warming attached (the grid fast-forward engine).
     const std::uint64_t interp_each =
         quick ? 1'000'000ull : 4'000'000ull;
     ScopedTimer interp_timer(obs.timings, "interpreter");
     const InterpMips interp_bare =
-        measureInterp(workloads, sp.baseSeed, interp_each, false, false);
-    const InterpMips interp_warm = measureInterp(
-        workloads, sp.baseSeed, interp_each / 4, true, false);
-    const InterpMips interp_step = measureInterp(
-        workloads, sp.baseSeed, interp_each / 8, false, true);
+        measureInterp(workloads, sp.baseSeed, interp_each, false);
+    const InterpMips interp_warm =
+        measureInterp(workloads, sp.baseSeed, interp_each / 4, true);
     interp_timer.stop();
     {
         TablePrinter itable({"engine", "sim insts", "host sec", "MIPS"});
-        for (const InterpMips *r :
-             {&interp_bare, &interp_warm, &interp_step}) {
+        for (const InterpMips *r : {&interp_bare, &interp_warm}) {
             itable.addRow({r->mode, std::to_string(r->instructions),
                            TablePrinter::fmt(r->seconds, 3),
                            TablePrinter::fmt(r->mips(), 1)});
         }
         itable.print();
-        std::printf("threaded run() vs step() oracle: %.1fx\n",
-                    interp_bare.mips() / interp_step.mips());
     }
 
     std::vector<ProfileKips> results;
@@ -244,21 +227,17 @@ main(int argc, char **argv)
                  static_cast<unsigned long long>(sp.warmupInsts),
                  sp.jobs);
     std::fprintf(json, "  \"interpreter\": {\n");
-    const InterpMips *interp_rows[] = {&interp_bare, &interp_warm,
-                                       &interp_step};
-    const char *interp_keys[] = {"bare", "warmed", "step"};
-    for (int i = 0; i < 3; ++i) {
+    const InterpMips *interp_rows[] = {&interp_bare, &interp_warm};
+    const char *interp_keys[] = {"bare", "warmed"};
+    for (int i = 0; i < 2; ++i) {
         const InterpMips &r = *interp_rows[i];
         std::fprintf(json,
-                     "    \"%s\": {\"instructions\": %llu, "
-                     "\"seconds\": %.4f, \"mips\": %.1f},\n",
-                     interp_keys[i],
+                     "%s    \"%s\": {\"instructions\": %llu, "
+                     "\"seconds\": %.4f, \"mips\": %.1f}",
+                     i ? ",\n" : "", interp_keys[i],
                      static_cast<unsigned long long>(r.instructions),
                      r.seconds, r.mips());
     }
-    std::fprintf(json,
-                 "    \"speedup_vs_step\": %.2f",
-                 interp_bare.mips() / interp_step.mips());
     for (const ProfileKips &r : results) {
         if (r.profile == Profile::kInOrder) {
             std::fprintf(json, ",\n    \"x_inorder\": %.1f",
@@ -296,7 +275,6 @@ main(int argc, char **argv)
                  [&](RunManifest &m, StatsRegistry &reg) {
                      m.set("interp_bare_mips", interp_bare.mips());
                      m.set("interp_warmed_mips", interp_warm.mips());
-                     m.set("interp_step_mips", interp_step.mips());
                      m.set("interp_warm_i_touches",
                            interp_warm.warm.iTouches);
                      m.set("interp_warm_d_touches",

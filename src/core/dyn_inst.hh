@@ -40,7 +40,6 @@ struct DynInst {
     PhysRegId prevDest = kInvalidPhysReg;
 
     // --- pipeline status ---------------------------------------------------
-    bool inIq = false;
     bool issued = false;
     bool executed = false;   ///< the paper's `exec` bit
     bool squashed = false;

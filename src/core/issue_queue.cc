@@ -18,7 +18,6 @@ IssueQueue::insert(const DynInstPtr &inst)
 {
     NDA_ASSERT(!full(), "issue queue overflow");
     ++inserts_;
-    inst->inIq = true;
     if (inst->tid >= perThread_.size())
         perThread_.resize(inst->tid + 1, 0);
     ++perThread_[inst->tid];
@@ -45,7 +44,6 @@ IssueQueue::removeSquashed()
 {
     const auto is_squashed = [this](const DynInstPtr &inst) {
         if (inst->squashed) {
-            inst->inIq = false;
             release(inst->tid);
             return true;
         }

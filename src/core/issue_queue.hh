@@ -64,19 +64,16 @@ class IssueQueue
         for (std::size_t i = 0; i < entries_.size(); ++i) {
             DynInstPtr inst = std::move(entries_[i]);
             if (inst->squashed) {
-                inst->inIq = false;
                 release(inst->tid);
                 continue; // drop
             }
             bool issued = false;
             if (sourcesReady(*inst, regs))
                 issued = try_issue(inst);
-            if (issued) {
-                inst->inIq = false;
+            if (issued)
                 release(inst->tid);
-            } else {
+            else
                 entries_[out++] = std::move(inst);
-            }
         }
         entries_.resize(out);
     }

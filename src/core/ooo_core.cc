@@ -49,6 +49,13 @@ OooCore::OooCore(Program prog, const SimConfig &cfg)
     }
 }
 
+bool
+OooCore::halted() const
+{
+    return std::all_of(threads_.begin(), threads_.end(),
+                       [](const ThreadContext &tc) { return tc.halted; });
+}
+
 RegVal
 OooCore::archReg(RegId r) const
 {
@@ -155,9 +162,6 @@ OooCore::restoreCheckpoint(const SimSnapshot &snap)
         snap.extraThreads.size(), numThreads_ - 1);
     for (std::size_t i = 0; i < nextra; ++i)
         applyThread(snap.extraThreads[i], threads_[i + 1]);
-    halted_ = true;
-    for (const ThreadContext &tc : threads_)
-        halted_ = halted_ && tc.halted;
     if (snap.hasMem)
         hier_.restore(snap.mem);
     if (snap.hasPredictor)
@@ -271,7 +275,7 @@ OooCore::run(std::uint64_t max_insts, Cycle max_cycles)
     const Cycle cycle_limit =
         max_cycles == ~Cycle{0} ? ~Cycle{0} : cycle_ + max_cycles;
     lastCommitCycle_ = cycle_;
-    while (!halted_ && committed_ < target && cycle_ < cycle_limit) {
+    while (!halted() && committed_ < target && cycle_ < cycle_limit) {
         tick();
         NDA_ASSERT(cycle_ - lastCommitCycle_ < 500000,
                    "no commit for 500k cycles at pc ~%llu (deadlock?)",
@@ -290,18 +294,15 @@ void
 OooCore::commitStage()
 {
     unsigned ncommit = 0;
-    for (ThreadContext &tc : threads_) {
-        tc.commitsThisCycle = 0;
+    for (ThreadContext &tc : threads_)
         tc.commitBreak = CommitBreak::kNone;
-    }
 
     // Shared commit bandwidth, threads served in rotation order so
     // neither context can monopolise retirement. One thread reduces
     // to the pre-SMT loop exactly.
     for (unsigned k = 0;
          k < numThreads_ && ncommit < cfg_.core.commitWidth; ++k) {
-        const unsigned tid =
-            (static_cast<unsigned>(cycle_) + k) % numThreads_;
+        const unsigned tid = rotatedTid(k);
         ThreadContext &tc = threads_[tid];
 
     // Stop exactly at the run() instruction target so measurement
@@ -367,14 +368,8 @@ OooCore::commitStage()
         inst->unsafeBranch = false;
         inst->unsafeBypass = false;
         noteUnsafeCleared(*inst);
-        if (inst->hasDest() && !inst->broadcasted &&
-            !inst->pendingBcast) {
-            inst->pendingBcast = true;
-            inst->bcastEligibleAt = cycle_ +
-                cfg_.core.retireWakeDelay +
-                secFor(tid).extraBroadcastDelay;
-            pendingBcast_.push_back(inst);
-        }
+        queueBroadcast(inst, cycle_ + cfg_.core.retireWakeDelay +
+                                 secFor(tid).extraBroadcastDelay);
 
         // Commit actions. A store needs its data register broadcast
         // before it can drain (split store-data micro-op).
@@ -448,20 +443,14 @@ OooCore::commitStage()
             retireHook_(*inst, cycle_);
         tc.rob.pop_front();
         ++ncommit;
-        ++tc.commitsThisCycle;
         ++committed_;
         ++counters_.committedInsts;
         lastCommitCycle_ = cycle_;
         if (cpiStack_)
             cpiStack_->addSlots(StallCause::kCommit, 1, inst->pc);
-        if (tc.cpiStack)
-            tc.cpiStack->addSlots(StallCause::kCommit, 1, inst->pc);
 
         if (inst->uop.op == Opcode::kHalt) {
             tc.halted = true;
-            halted_ = true;
-            for (const ThreadContext &other : threads_)
-                halted_ = halted_ && other.halted;
             break;
         }
         if (inst->uop.op == Opcode::kSpecOff ||
@@ -482,12 +471,10 @@ unsigned
 OooCore::priorityTid() const
 {
     for (unsigned k = 0; k < numThreads_; ++k) {
-        const unsigned tid =
-            (static_cast<unsigned>(cycle_) + k) % numThreads_;
-        if (!threads_[tid].rob.empty())
-            return tid;
+        if (!threads_[rotatedTid(k)].rob.empty())
+            return rotatedTid(k);
     }
-    return static_cast<unsigned>(cycle_) % numThreads_;
+    return rotatedTid(0);
 }
 
 std::size_t
@@ -523,30 +510,13 @@ OooCore::accountCycle(unsigned ncommit)
     ++counters_.cycleClass[static_cast<int>(
         classifyThread(ncommit, threads_[ptid]))];
 
+    if (!cpiStack_)
+        return;
+    cpiStack_->onCycle();
     const std::uint64_t lost = cfg_.core.commitWidth - ncommit;
-    const bool edge = halted_ || committed_ >= commitTarget_;
-    if (cpiStack_) {
-        cpiStack_->onCycle();
-        if (lost)
-            attributeLostSlots(cpiStack_, ptid, lost, edge);
-    }
-    for (unsigned t = 0; t < numThreads_; ++t) {
-        const ThreadContext &tc = threads_[t];
-        CpiStackProfiler *p = tc.cpiStack;
-        if (!p)
-            continue;
-        p->onCycle();
-        // Slots another hardware thread retired into: lost to *this*
-        // thread through SMT bandwidth sharing, not through a stall
-        // of its own.
-        if (ncommit > tc.commitsThisCycle) {
-            p->addSlots(StallCause::kSmtContention,
-                        ncommit - tc.commitsThisCycle,
-                        tc.rob.empty() ? tc.fetchPc
-                                       : tc.rob.front()->pc);
-        }
-        if (lost)
-            attributeLostSlots(p, t, lost, edge || tc.halted);
+    if (lost) {
+        attributeLostSlots(ptid, lost,
+                           halted() || committed_ >= commitTarget_);
     }
 }
 
@@ -576,14 +546,13 @@ ndaDeferCause(const DynInst &producer)
 } // namespace
 
 void
-OooCore::attributeLostSlots(CpiStackProfiler *p, unsigned tid,
-                            std::uint64_t lost, bool edge)
+OooCore::attributeLostSlots(unsigned tid, std::uint64_t lost, bool edge)
 {
     ThreadContext &tc = threads_[tid];
     if (edge) {
         // Window edge: the machine is done, the slots measure nothing.
-        p->addSlots(StallCause::kIdle, lost,
-                    tc.rob.empty() ? tc.fetchPc : tc.rob.front()->pc);
+        cpiStack_->addSlots(StallCause::kIdle, lost,
+                            tc.rob.empty() ? tc.fetchPc : tc.rob.front()->pc);
         return;
     }
     // In-order commit: every occupied slot behind the blocked head
@@ -594,11 +563,11 @@ OooCore::attributeLostSlots(CpiStackProfiler *p, unsigned tid,
         std::min<std::uint64_t>(lost, tc.rob.size());
     if (occupied) {
         const SlotAttr a = headCause(tid);
-        p->addSlots(a.cause, occupied, a.pc);
+        cpiStack_->addSlots(a.cause, occupied, a.pc);
     }
     if (lost > occupied) {
         const SlotAttr a = emptyCause(tid);
-        p->addSlots(a.cause, lost - occupied, a.pc);
+        cpiStack_->addSlots(a.cause, lost - occupied, a.pc);
     }
 }
 
@@ -770,12 +739,8 @@ OooCore::raiseFault(const DynInstPtr &inst)
     squashAfter(inst->tid, inst->seq - 1,
                 handler == ~Addr{0} ? 0 : handler, SquashCause::kFault,
                 inst->pc);
-    if (handler == ~Addr{0}) {
+    if (handler == ~Addr{0})
         threads_[inst->tid].halted = true;
-        halted_ = true;
-        for (const ThreadContext &tc : threads_)
-            halted_ = halted_ && tc.halted;
-    }
 }
 
 // --------------------------------------------------------------------------
@@ -876,17 +841,12 @@ OooCore::completeStage()
             broadcast(inst);
             --ports;
         } else {
-            inst->pendingBcast = true;
-            inst->bcastEligibleAt = cycle_ + 1;
-            pendingBcast_.push_back(inst);
+            queueBroadcast(inst, cycle_ + 1);
         }
     }
-    std::sort(pendingBcast_.begin(), pendingBcast_.end(),
-              [](const DynInstPtr &a, const DynInstPtr &b) {
-                  return a->seq < b->seq;
-              });
-    std::deque<DynInstPtr> keep;
-    for (const DynInstPtr &inst : pendingBcast_) {
+    // The ports left go to deferred broadcasts, oldest first; an entry
+    // leaves the queue when it broadcasts or goes stale.
+    std::erase_if(pendingBcast_, [&](const DynInstPtr &inst) {
         // A retired instruction's register may have been freed and
         // reallocated by the time its deferred retire-wake fires; by
         // then every consumer has already committed, so the wake is
@@ -894,19 +854,15 @@ OooCore::completeStage()
         const bool reg_reused =
             inst->committed &&
             threads_[inst->tid].commitMap[inst->uop.rd] != inst->dest;
-        if (inst->squashed || inst->broadcasted || reg_reused) {
-            inst->pendingBcast = false;
-            continue;
-        }
-        if (ports > 0 && cycle_ >= inst->bcastEligibleAt) {
-            inst->pendingBcast = false;
+        if (!inst->squashed && !inst->broadcasted && !reg_reused) {
+            if (ports == 0 || cycle_ < inst->bcastEligibleAt)
+                return false; // keeps waiting
             broadcast(inst);
             --ports;
-        } else {
-            keep.push_back(inst);
         }
-    }
-    pendingBcast_.swap(keep);
+        inst->pendingBcast = false;
+        return true;
+    });
 
     if (completed) {
         ++counters_.ilpCycles;
@@ -932,17 +888,26 @@ OooCore::broadcast(const DynInstPtr &inst)
 }
 
 void
-OooCore::maybeQueueBroadcast(const DynInstPtr &inst)
+OooCore::queueBroadcast(const DynInstPtr &inst, Cycle eligible_at)
 {
-    if (inst->squashed || inst->isUnsafe() || !inst->executed ||
-        inst->dest == kInvalidPhysReg || inst->broadcasted ||
+    if (inst->dest == kInvalidPhysReg || inst->broadcasted ||
         inst->pendingBcast) {
         return;
     }
     inst->pendingBcast = true;
-    inst->bcastEligibleAt =
-        cycle_ + secFor(inst->tid).extraBroadcastDelay;
-    pendingBcast_.push_back(inst);
+    inst->bcastEligibleAt = eligible_at;
+    // Sequence numbers are unique, so this is a strict age order.
+    const auto pos = std::upper_bound(
+        pendingBcast_.begin(), pendingBcast_.end(), inst->seq,
+        [](InstSeqNum seq, const DynInstPtr &p) { return seq < p->seq; });
+    pendingBcast_.insert(pos, inst);
+}
+
+void
+OooCore::maybeQueueBroadcast(const DynInstPtr &inst)
+{
+    if (!inst->squashed && !inst->isUnsafe() && inst->executed)
+        queueBroadcast(inst, cycle_ + secFor(inst->tid).extraBroadcastDelay);
 }
 
 // --------------------------------------------------------------------------
@@ -1075,7 +1040,6 @@ OooCore::squashAfter(unsigned tid, InstSeqNum keep_seq,
     }
     tc.fetchQueue.clear();
 
-    bool unresolved_changed = false;
     while (!tc.rob.empty() && tc.rob.back()->seq > keep_seq) {
         DynInstPtr inst = tc.rob.back();
         inst->squashed = true;
@@ -1090,28 +1054,18 @@ OooCore::squashAfter(unsigned tid, InstSeqNum keep_seq,
         }
         if (inst->isBranch())
             bp_.restore(inst->bpCkpt);
-        if (inst->isSpecBranch()) {
-            auto it = std::find(tc.unresolvedBranches.begin(),
-                                tc.unresolvedBranches.end(), inst->seq);
-            if (it != tc.unresolvedBranches.end()) {
-                unresolved_changed = unresolved_changed ||
-                    it == tc.unresolvedBranches.begin();
-                tc.unresolvedBranches.erase(it);
-            }
-        }
-        if (inst->uop.op == Opcode::kFence) {
-            auto it = std::find(tc.fencesInFlight.begin(),
-                                tc.fencesInFlight.end(), inst->seq);
-            if (it != tc.fencesInFlight.end())
-                tc.fencesInFlight.erase(it);
-        }
-        if (inst->uop.op == Opcode::kWrMsr) {
-            auto it = std::find(tc.wrmsrInFlight.begin(),
-                                tc.wrmsrInFlight.end(), inst->seq);
-            if (it != tc.wrmsrInFlight.end())
-                tc.wrmsrInFlight.erase(it);
-        }
         tc.rob.pop_back();
+    }
+    // The in-flight lists mirror the ROB in age order, so the squashed
+    // entries are each list's tail. The eldest unresolved branch
+    // changed iff the squash took the list's front.
+    const bool unresolved_changed =
+        !tc.unresolvedBranches.empty() &&
+        tc.unresolvedBranches.front() > keep_seq;
+    for (auto *list : {&tc.unresolvedBranches, &tc.fencesInFlight,
+                       &tc.wrmsrInFlight}) {
+        while (!list->empty() && list->back() > keep_seq)
+            list->pop_back();
     }
     lsq_.squashYoungerThan(keep_seq, tid);
     iq_.removeSquashed();
@@ -1136,21 +1090,6 @@ OooCore::squashAfter(unsigned tid, InstSeqNum keep_seq,
 // Issue / execute
 // --------------------------------------------------------------------------
 
-bool
-OooCore::hasOlderUnresolvedBranch(unsigned tid, InstSeqNum seq) const
-{
-    const ThreadContext &tc = threads_[tid];
-    return !tc.unresolvedBranches.empty() &&
-           tc.unresolvedBranches.front() < seq;
-}
-
-bool
-OooCore::hasOlderWrmsr(unsigned tid, InstSeqNum seq) const
-{
-    const ThreadContext &tc = threads_[tid];
-    return !tc.wrmsrInFlight.empty() && tc.wrmsrInFlight.front() < seq;
-}
-
 void
 OooCore::issueStage()
 {
@@ -1163,16 +1102,14 @@ OooCore::issueStage()
         ThreadContext &tc = threads_[inst->tid];
         const OpTraits &t = inst->uop.traits();
         // lfence-like semantics: younger ops wait for fence retire.
-        if (!tc.fencesInFlight.empty() &&
-            tc.fencesInFlight.front() < inst->seq) {
+        if (hasOlder(tc.fencesInFlight, inst->seq))
             return false;
-        }
         if (t.serializeAtHead &&
             (tc.rob.empty() || tc.rob.front() != inst)) {
             return false;
         }
         if (inst->uop.op == Opcode::kRdMsr &&
-            hasOlderWrmsr(inst->tid, inst->seq)) {
+            hasOlder(tc.wrmsrInFlight, inst->seq)) {
             return false;
         }
         if (inst->uop.isMemory() && mem_issued >= cfg_.core.memPorts)
@@ -1439,7 +1376,8 @@ OooCore::executeLoad(const DynInstPtr &inst)
           case InvisiSpecMode::kOff:
             break;
           case InvisiSpecMode::kSpectre:
-            shadow = hasOlderUnresolvedBranch(inst->tid, inst->seq);
+            shadow = hasOlder(threads_[inst->tid].unresolvedBranches,
+                              inst->seq);
             break;
           case InvisiSpecMode::kFuture: {
             const ThreadContext &tc = threads_[inst->tid];
@@ -1524,8 +1462,7 @@ OooCore::dispatchStage()
     // commit. Each thread keeps its own block reason (CPI stack).
     unsigned budget = cfg_.core.dispatchWidth;
     for (unsigned k = 0; k < numThreads_ && budget > 0; ++k) {
-        const unsigned tid =
-            (static_cast<unsigned>(cycle_) + k) % numThreads_;
+        const unsigned tid = rotatedTid(k);
         ThreadContext &tc = threads_[tid];
         tc.dispatchBlock = DispatchBlock::kNone;
         while (budget > 0) {
@@ -1641,10 +1578,8 @@ OooCore::pickFetchThread() const
     if (cfg_.core.smtFetchPolicy == SmtFetchPolicy::kRoundRobin ||
         numThreads_ == 1) {
         for (unsigned k = 0; k < numThreads_; ++k) {
-            const unsigned t =
-                (static_cast<unsigned>(cycle_) + k) % numThreads_;
-            if (fetchable(t))
-                return t;
+            if (fetchable(rotatedTid(k)))
+                return rotatedTid(k);
         }
         return numThreads_;
     }
@@ -1654,8 +1589,7 @@ OooCore::pickFetchThread() const
     unsigned best = numThreads_;
     std::size_t best_count = 0;
     for (unsigned k = 0; k < numThreads_; ++k) {
-        const unsigned t =
-            (static_cast<unsigned>(cycle_) + k) % numThreads_;
+        const unsigned t = rotatedTid(k);
         if (!fetchable(t))
             continue;
         const std::size_t count =

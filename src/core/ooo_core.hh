@@ -55,7 +55,8 @@ class OooCore : public CoreBase
     void tick() override;
     void run(std::uint64_t max_insts, Cycle max_cycles) override;
 
-    bool halted() const override { return halted_; }
+    /** Every hardware thread has halted. */
+    bool halted() const override;
     Cycle cycle() const override { return cycle_; }
     std::uint64_t committedInsts() const override { return committed_; }
 
@@ -104,18 +105,6 @@ class OooCore : public CoreBase
     void attachCpiStack(CpiStackProfiler *p) override
     {
         cpiStack_ = p;
-    }
-
-    /**
-     * Attach a per-thread CPI-stack profiler: thread `tid`'s view of
-     * the same `commitWidth` slots. Slots retired by *other* threads
-     * are charged to kSmtContention, so each thread's stack obeys the
-     * same width x cycles identity as the pooled one.
-     */
-    void
-    attachThreadCpiStack(unsigned tid, CpiStackProfiler *p)
-    {
-        threads_[tid].cpiStack = p;
     }
 
     /**
@@ -231,7 +220,8 @@ class OooCore : public CoreBase
         Cycle icacheStallUntil = 0;
         Addr lastFetchLine = ~Addr{0};
 
-        // NDA / ordering bookkeeping (same-thread properties)
+        // NDA / ordering bookkeeping (same-thread properties): each
+        // list holds its in-ROB instructions' seqs in age order
         std::deque<InstSeqNum> unresolvedBranches;
         std::deque<InstSeqNum> fencesInFlight;
         std::deque<InstSeqNum> wrmsrInFlight;
@@ -240,8 +230,6 @@ class OooCore : public CoreBase
         bool halted = false;
 
         // CPI-stack attribution state
-        CpiStackProfiler *cpiStack = nullptr; ///< this thread's view
-        unsigned commitsThisCycle = 0; ///< retired by this thread now
         CommitBreak commitBreak = CommitBreak::kNone;
         DispatchBlock dispatchBlock = DispatchBlock::kNone;
         bool refetchPending = false; ///< squashed; refill not dispatched
@@ -277,6 +265,10 @@ class OooCore : public CoreBase
 
     /** Broadcast the tag: mark dest ready so dependents can wake. */
     void broadcast(const DynInstPtr &inst);
+    /** Defer `inst`'s broadcast to a free port at or after cycle
+     *  `eligible_at`, unless it has no tag left to broadcast or is
+     *  queued already; pendingBcast_ stays in age order. */
+    void queueBroadcast(const DynInstPtr &inst, Cycle eligible_at);
     /** Queue a newly-safe completed instruction for broadcast. */
     void maybeQueueBroadcast(const DynInstPtr &inst);
 
@@ -301,8 +293,13 @@ class OooCore : public CoreBase
      */
     void ndaClearWalk(unsigned tid);
 
-    bool hasOlderUnresolvedBranch(unsigned tid, InstSeqNum seq) const;
-    bool hasOlderWrmsr(unsigned tid, InstSeqNum seq) const;
+    /** Does the age-ordered in-flight list hold an entry older than
+     *  `seq`? */
+    static bool
+    hasOlder(const std::deque<InstSeqNum> &list, InstSeqNum seq)
+    {
+        return !list.empty() && list.front() < seq;
+    }
 
     /** NDA policy for thread `tid` (per-thread under SMT). */
     const SecurityConfig &secFor(unsigned tid) const
@@ -329,9 +326,8 @@ class OooCore : public CoreBase
      *  refetch, frontend starvation, or a dispatch capacity limit
      *  from last cycle). */
     SlotAttr emptyCause(unsigned tid) const;
-    /** Attribute thread `tid`'s lost slots into profiler `p`. */
-    void attributeLostSlots(CpiStackProfiler *p, unsigned tid,
-                            std::uint64_t lost, bool edge);
+    /** Attribute thread `tid`'s lost slots into cpiStack_. */
+    void attributeLostSlots(unsigned tid, std::uint64_t lost, bool edge);
     /** Walk the dependence chain from `inst` to its root blocker. */
     SlotAttr chaseInst(const DynInst *inst, int depth);
     /** Attribute a wait on not-ready phys reg `r` (store data, or a
@@ -349,6 +345,13 @@ class OooCore : public CoreBase
     /** Commit/frontend/memory/backend class of one thread's cycle. */
     CycleClass classifyThread(unsigned committed_now,
                               const ThreadContext &tc) const;
+    /** SMT arbitration order: the thread at rotation position `k`
+     *  this cycle (commit, dispatch and fetch all start at k = 0). */
+    unsigned
+    rotatedTid(unsigned k) const
+    {
+        return (static_cast<unsigned>(cycle_) + k) % numThreads_;
+    }
     /** The thread whose stall explains the pooled cycle class / CPI
      *  stack: the first in rotation order with a non-empty ROB. */
     unsigned priorityTid() const;
@@ -379,9 +382,10 @@ class OooCore : public CoreBase
     std::multimap<Cycle, DynInstPtr> completionEvents_;
 
     /** Completed-but-unwoken producers awaiting a broadcast port
-     *  (shared: ports are a core resource; entries are age-ordered
-     *  by global seq). */
-    std::deque<DynInstPtr> pendingBcast_;
+     *  (shared: ports are a core resource). Kept in age order (global
+     *  seq) by queueBroadcast, so the drain grants ports oldest
+     *  first. */
+    std::vector<DynInstPtr> pendingBcast_;
 
     // --- misc state -----------------------------------------------------------
     InstSeqNum nextSeq_ = 0;
@@ -391,7 +395,6 @@ class OooCore : public CoreBase
     /** Delivered faults since the entry point (ArchState::faultCount);
      *  unlike counters_.faults, survives resetCounters(). */
     std::uint64_t faultCount_ = 0;
-    bool halted_ = false; ///< every hardware thread halted
     int outstandingMisses_ = 0;
     Cycle lastCommitCycle_ = 0;
     std::function<void(const DynInst &, Cycle)> retireHook_;

@@ -265,12 +265,23 @@ fuzzProgram(const Program &prog, std::uint64_t seed,
         InvariantChecker checker;
         if (p.checkInvariants)
             core->attachChecker(&checker);
+        const auto report_invariants = [&] {
+            if (p.checkInvariants && !checker.clean()) {
+                fail(profile, FuzzFailureKind::kInvariantViolation,
+                     std::to_string(checker.totalViolations()) +
+                         " violations, first: " +
+                         InvariantChecker::describe(
+                             checker.violations().front()));
+            }
+        };
 
         std::string why;
         if (!runCoreSliced(*core, p.maxCycles, why)) {
             fail(profile, FuzzFailureKind::kCoreHang, why);
             fnv.u64(static_cast<std::uint64_t>(profile));
             fnv.str(why);
+            // A broken invariant is often why the core hung.
+            report_invariants();
             continue;
         }
 
@@ -354,13 +365,7 @@ fuzzProgram(const Program &prog, std::uint64_t seed,
                          " differs");
             }
         }
-        if (p.checkInvariants && !checker.clean()) {
-            fail(profile, FuzzFailureKind::kInvariantViolation,
-                 std::to_string(checker.totalViolations()) +
-                     " violations, first: " +
-                     InvariantChecker::describe(
-                         checker.violations().front()));
-        }
+        report_invariants();
     }
 
     for (const FuzzFailure &f : out.failures) {

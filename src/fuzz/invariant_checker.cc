@@ -166,28 +166,46 @@ InvariantChecker::checkRobOrder(const OooCore &core)
 void
 InvariantChecker::checkBranchBookkeeping(const OooCore &core)
 {
-    // Expected list per thread: in-ROB speculative branches not yet
-    // executed, in age order (resolution happens the cycle `executed`
-    // is set).
+    // Each in-flight list holds, in age order, exactly its thread's
+    // in-ROB members. The walk advances through the ROB and the list
+    // together, so the per-cycle check allocates nothing.
     for (unsigned t = 0; t < core.numThreads_; ++t) {
         const auto &tc = core.threads_[t];
-        std::vector<InstSeqNum> expect;
-        for (const DynInstPtr &inst : tc.rob) {
-            if (inst->isSpecBranch() && !inst->executed)
-                expect.push_back(inst->seq);
-        }
-        const auto &got = tc.unresolvedBranches;
-        if (expect.size() != got.size() ||
-            !std::equal(expect.begin(), expect.end(), got.begin())) {
+        const auto mirror = [&](const char *what,
+                                const std::deque<InstSeqNum> &list,
+                                auto is_member) {
+            std::size_t members = 0; // ROB members seen so far
+            std::size_t matched = 0; // leading members found in order
+            for (const DynInstPtr &inst : tc.rob) {
+                if (!is_member(*inst))
+                    continue;
+                if (matched == members && matched < list.size() &&
+                    list[matched] == inst->seq) {
+                    ++matched;
+                }
+                ++members;
+            }
+            if (matched == members && matched == list.size())
+                return;
             report(InvariantKind::kBranchBookkeeping, core.cycle_,
-                   got.empty() ? kInvalidSeqNum : got.front(),
-                   "thread " + std::to_string(t) +
-                       " unresolved-branch list (" +
-                       std::to_string(got.size()) +
+                   list.empty() ? kInvalidSeqNum : list.front(),
+                   "thread " + std::to_string(t) + " " + what +
+                       " list (" + std::to_string(list.size()) +
                        " entries) does not mirror the ROB's " +
-                       std::to_string(expect.size()) +
-                       " unresolved speculative branches");
-        }
+                       std::to_string(members));
+        };
+        // Resolution happens the cycle `executed` is set; fences and
+        // wrmsrs leave their lists at commit.
+        mirror("unresolved-branch", tc.unresolvedBranches,
+               [](const DynInst &i) {
+                   return i.isSpecBranch() && !i.executed;
+               });
+        mirror("fence", tc.fencesInFlight, [](const DynInst &i) {
+            return i.uop.op == Opcode::kFence;
+        });
+        mirror("wrmsr", tc.wrmsrInFlight, [](const DynInst &i) {
+            return i.uop.op == Opcode::kWrMsr;
+        });
     }
 }
 

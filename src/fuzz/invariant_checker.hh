@@ -12,8 +12,10 @@
  *
  *  - ROB entries appear in strict age (seq) order and are never
  *    squashed or committed (both are removed eagerly);
- *  - the unresolved-speculative-branch list mirrors exactly the
- *    in-ROB speculative branches that have not executed;
+ *  - each thread's in-flight lists mirror its ROB in age order: the
+ *    unresolved-branch list holds exactly the speculative branches
+ *    that have not executed, the fence and wrmsr lists exactly the
+ *    fences and wrmsrs;
  *  - physical-register accounting: free lists, committed maps, and
  *    in-flight destinations partition the register file with no
  *    duplicates and no leaks (squash recovery is the hard case);
@@ -80,7 +82,7 @@ FuzzCorruption fuzzCorruptionFromName(const std::string &name);
 /** The invariant families the checker enforces. */
 enum class InvariantKind : std::uint8_t {
     kRobOrder = 0,        ///< ROB age order / no dead entries
-    kBranchBookkeeping,   ///< unresolvedBranches mirrors the ROB
+    kBranchBookkeeping,   ///< branch/fence/wrmsr lists mirror the ROB
     kFreeList,            ///< phys-reg partition, no leak/double-free
     kRenameMap,           ///< rename map vs commit map + ROB writers
     kLsqOrder,            ///< LSQ age order and ROB membership

@@ -39,78 +39,89 @@ Cache::restore(const Snapshot &snap)
     fills_ = snap.fills;
 }
 
-Cache::Line *
-Cache::findLine(Addr addr)
+Cache::Slot
+Cache::walk(Addr addr)
 {
     const Addr line = lineAddr(addr);
-    const unsigned set = setIndex(line);
-    const Addr tag = tagOf(line);
-    Line *base = &lines_[static_cast<std::size_t>(set) * params_.ways];
+    Slot s;
+    s.tag = tagOf(line);
+    Line *base =
+        &lines_[static_cast<std::size_t>(setIndex(line)) * params_.ways];
+    Line *invalid = nullptr;
+    Line *lru = base;
     for (unsigned w = 0; w < params_.ways; ++w) {
-        if (base[w].valid && base[w].tag == tag)
-            return &base[w];
+        Line &l = base[w];
+        if (!l.valid) {
+            if (!invalid)
+                invalid = &l;
+        } else if (l.tag == s.tag) {
+            s.hit = &l;
+            return s;
+        } else if (l.lastUse < lru->lastUse) {
+            lru = &l;
+        }
     }
-    return nullptr;
+    s.victim = invalid ? invalid : lru;
+    return s;
+}
+
+bool
+Cache::useHit(const Slot &s)
+{
+    if (!s.hit)
+        return false;
+    s.hit->lastUse = ++useClock_;
+    ++hits_;
+    return true;
+}
+
+void
+Cache::install(const Slot &s)
+{
+    ++useClock_;
+    Line *line = s.hit;
+    if (!line) {
+        ++fills_;
+        line = s.victim;
+        line->valid = true;
+        line->tag = s.tag;
+    }
+    line->lastUse = useClock_;
 }
 
 bool
 Cache::access(Addr addr)
 {
-    if (accessNoFill(addr))
+    const Slot s = walk(addr);
+    if (useHit(s))
         return true;
-    fill(addr);
+    countMiss();
+    install(s);
     return false;
 }
 
 bool
-Cache::accessNoFill(Addr addr)
+Cache::touch(Addr addr)
 {
-    ++useClock_;
-    if (Line *line = findLine(addr)) {
-        line->lastUse = useClock_;
-        ++hits_;
-        return true;
-    }
-    ++misses_;
-    return false;
+    return useHit(walk(addr));
 }
 
 bool
 Cache::probe(Addr addr) const
 {
-    return const_cast<Cache *>(this)->findLine(addr) != nullptr;
+    return const_cast<Cache *>(this)->walk(addr).hit != nullptr;
 }
 
 void
 Cache::fill(Addr addr)
 {
-    ++useClock_;
-    if (Line *line = findLine(addr)) {
-        line->lastUse = useClock_;
-        return;
-    }
-    ++fills_;
-    const Addr line_addr = lineAddr(addr);
-    const unsigned set = setIndex(line_addr);
-    Line *base = &lines_[static_cast<std::size_t>(set) * params_.ways];
-    Line *victim = &base[0];
-    for (unsigned w = 0; w < params_.ways; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
-            break;
-        }
-        if (base[w].lastUse < victim->lastUse)
-            victim = &base[w];
-    }
-    victim->valid = true;
-    victim->tag = tagOf(line_addr);
-    victim->lastUse = useClock_;
+    install(walk(addr));
 }
 
 void
 Cache::flush(Addr addr)
 {
-    if (Line *line = findLine(addr))
+    if (Line *line = walk(addr).hit)
         line->valid = false;
 }
 

@@ -72,12 +72,16 @@ class Cache
     bool access(Addr addr);
 
     /**
-     * Look up `addr` counting hit/miss and updating LRU on hit, but
-     * do NOT allocate on miss — the fill arrives later through
-     * `fill()` when the MSHR entry drains (non-blocking mode).
+     * Look up `addr`; on hit, count it and update LRU as access()
+     * does. On miss change nothing: a non-blocking request may still
+     * be rejected, and an accepted one counts its miss with
+     * countMiss() and gets its line later through fill().
      * @return true on hit.
      */
-    bool accessNoFill(Addr addr);
+    bool touch(Addr addr);
+
+    /** Count a miss touch() found, as access() would count it. */
+    void countMiss() { ++useClock_; ++misses_; }
 
     /** Look up without changing any state. */
     bool probe(Addr addr) const;
@@ -109,7 +113,19 @@ class Cache
     }
     Addr tagOf(Addr line) const { return line / numSets_; }
 
-    Line *findLine(Addr addr);
+    /** One set walk: the line holding the address, or else the way
+     *  a fill would take (the first invalid way, else the first
+     *  least-recently-used one). */
+    struct Slot {
+        Line *hit = nullptr;
+        Line *victim = nullptr;
+        Addr tag = 0;
+    };
+    Slot walk(Addr addr);
+    /** Count the hit in `s` and refresh its LRU; false on a miss. */
+    bool useHit(const Slot &s);
+    /** Refresh the line in `s`, or allocate its victim way. */
+    void install(const Slot &s);
 
     CacheParams params_;
     unsigned numSets_;

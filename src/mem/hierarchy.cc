@@ -91,11 +91,9 @@ MemHierarchy::request(Level &l1, Addr addr, Cycle now,
     if (!mshrEnabled())
         return lookup<&Cache::access>(l1.cache, l2, params_.dramLatency,
                                       addr);
-    if (l1.cache.probe(addr)) {
-        l1.cache.access(addr);
+    if (l1.cache.touch(addr))
         return {MemReqStatus::kHit, l1.cache.params().hitLatency,
                 HitLevel::kL1};
-    }
 
     constexpr MemRequestResult kReject{MemReqStatus::kRejected, 0,
                                        HitLevel::kMemory};
@@ -106,7 +104,7 @@ MemHierarchy::request(Level &l1, Addr addr, Cycle now,
     if (MshrEntry *e = l1.mshr.find(line)) {
         if (!l1.mshr.addTarget(*e, target))
             return kReject;
-        l1.cache.accessNoFill(addr);
+        l1.cache.countMiss();
         const bool off = e->fillAt > now + l2_latency;
         return {MemReqStatus::kMerged,
                 static_cast<unsigned>(e->fillAt - now),
@@ -119,9 +117,8 @@ MemHierarchy::request(Level &l1, Addr addr, Cycle now,
     }
 
     // Primary miss filled from L2.
-    if (l2.probe(addr)) {
-        l1.cache.accessNoFill(addr);
-        l2.access(addr);
+    if (l2.touch(addr)) {
+        l1.cache.countMiss();
         l1.mshr.allocate(line, now + l2_latency, target);
         return {MemReqStatus::kMiss, l2_latency, HitLevel::kL2};
     }
@@ -134,8 +131,8 @@ MemHierarchy::request(Level &l1, Addr addr, Cycle now,
         return kReject;
     NDA_ASSERT(inflight || !l2_file.full(),
                "L2 MSHR file full despite L1-backed sizing");
-    l1.cache.accessNoFill(addr);
-    l2.accessNoFill(addr);
+    l1.cache.countMiss();
+    l2.countMiss();
     const Cycle fill_at = inflight
                               ? inflight->fillAt
                               : now + l2_latency + params_.dramLatency;

@@ -201,7 +201,7 @@ class MemHierarchy
     enum LevelId : std::size_t { kL2, kL1I, kL1D };
 
     /** Either L1 side's request: the eager lookup without MSHRs, else
-     *  probe, hit, coalesce, reject, L2 hit, L2 coalesce, DRAM. */
+     *  L1 hit, coalesce, reject, L2 hit, L2 coalesce, DRAM. */
     MemRequestResult request(Level &l1, Addr addr, Cycle now,
                              const MshrTarget &target);
 

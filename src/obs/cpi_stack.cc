@@ -67,7 +67,6 @@ CpiStackProfiler::registerStats(StatsRegistry &reg,
         "slots lost to issue-queue capacity at dispatch",
         "slots lost to LQ/SQ capacity at dispatch",
         "slots lost to ROB/phys-reg capacity at dispatch",
-        "slots a co-resident SMT thread retired into",
         "slots at window edges with nothing to account",
     };
     for (int c = 0; c < kNumStallCauses; ++c) {

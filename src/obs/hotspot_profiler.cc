@@ -27,7 +27,6 @@ stallCauseName(StallCause c)
       case StallCause::kIqFull: return "iq-full";
       case StallCause::kLsqFull: return "lsq-full";
       case StallCause::kRobFull: return "rob-full";
-      case StallCause::kSmtContention: return "smt-contention";
       case StallCause::kIdle: return "idle";
       case StallCause::kNumCauses: break;
     }
@@ -54,7 +53,6 @@ stallCauseStatName(StallCause c)
       case StallCause::kIqFull: return "iq_full";
       case StallCause::kLsqFull: return "lsq_full";
       case StallCause::kRobFull: return "rob_full";
-      case StallCause::kSmtContention: return "smt_contention";
       case StallCause::kIdle: return "idle";
       case StallCause::kNumCauses: break;
     }

@@ -51,7 +51,6 @@ enum class StallCause : std::uint8_t {
     kIqFull,           ///< dispatch blocked: issue queue capacity
     kLsqFull,          ///< dispatch blocked: LQ/SQ capacity
     kRobFull,          ///< dispatch blocked: ROB/phys-reg capacity
-    kSmtContention,    ///< slot retired by the other hardware thread
     kIdle,             ///< window edge / halted: nothing to account
     kNumCauses,
 };

@@ -202,8 +202,15 @@ TEST(IssueQueue, RemoveSquashed)
     a->squashed = true;
     iq.removeSquashed();
     EXPECT_EQ(iq.size(), 1u);
-    EXPECT_FALSE(a->inIq);
-    EXPECT_TRUE(c->inIq);
+    EXPECT_EQ(iq.occupancyOf(0), 1u);
+    // Only the survivor is left to select.
+    std::vector<DynInstPtr> left;
+    iq.selectReady(regs, [&](const DynInstPtr &inst) {
+        left.push_back(inst);
+        return false;
+    });
+    ASSERT_EQ(left.size(), 1u);
+    EXPECT_EQ(left[0].get(), c.get());
 }
 
 // ---------------------------------------------------------------------------
