@@ -36,7 +36,7 @@ suiteGeomean(const SimConfig &cfg, const SampleParams &sp,
     SampleParams one = sp;
     one.samples = 1;
     const std::vector<RunResult> grid =
-        runGrid(ws, {cfg}, one);
+        measuredOrExit([&] { return runGrid(ws, {cfg}, one); });
     std::vector<double> cpis;
     for (const RunResult &r : grid)
         cpis.push_back(r.mean.cpi);
@@ -136,8 +136,9 @@ main(int argc, char **argv)
             SimConfig perf_cfg = makeProfile(Profile::kOoo);
             perf_cfg.core.frontendDelay = d;
             auto w = makeWorkload("branchy");
-            const double cpi =
-                runWindow(*w, perf_cfg, sp.baseSeed, sp).cpi;
+            const double cpi = measuredOrExit([&] {
+                return runWindow(*w, perf_cfg, sp.baseSeed, sp);
+            }).cpi;
             t.addRow({std::to_string(d),
                       TablePrinter::fmt(r.signal, 1),
                       TablePrinter::fmt(cpi, 2)});

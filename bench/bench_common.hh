@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,22 +141,18 @@ struct BenchObs {
 /**
  * Checkpoint-corpus knobs shared by the grid-driving bench binaries
  * (fig07_cpi, table02_overheads, grid_server): where the on-disk
- * corpus lives, its LRU size cap, and an off switch that wins over
- * --ckpt-dir so scripts can layer flags.
+ * corpus lives and its LRU size cap.
  */
 struct BenchCkpt {
     std::string dir;             ///< --ckpt-dir= (empty: no corpus)
     std::uint64_t maxBytes = 0;  ///< --ckpt-max-bytes= (0: unbounded)
-    bool disabled = false;       ///< --no-ckpt
-
-    bool wantCorpus() const { return !dir.empty() && !disabled; }
 
     /** Open the corpus, or nullptr when none was requested. The
      *  returned store must outlive every runGrid call using it. */
     std::unique_ptr<CheckpointStore>
     open() const
     {
-        if (!wantCorpus())
+        if (dir.empty())
             return nullptr;
         return std::make_unique<CheckpointStore>(dir, maxBytes);
     }
@@ -168,8 +165,6 @@ struct BenchCkpt {
                "persistent checkpoint corpus (shared across runs)", &dir);
         t.number("--ckpt-max-bytes", "N",
                  "LRU size cap for the corpus (0 = unbounded)", &maxBytes);
-        t.flag("--no-ckpt", "ignore --ckpt-dir and run without a corpus",
-               &disabled);
     }
 };
 
@@ -249,6 +244,20 @@ pooledCpi(const std::vector<RunResult> &grid, std::size_t ncols,
                           static_cast<double>(insts)
                     : 0.0;
     return out;
+}
+
+/** Return `measure()`; a window it cannot measure (runWindow's
+ *  std::runtime_error, passed up through runGrid) ends the bench with
+ *  one error line and exit status 1. */
+template <class F>
+auto
+measuredOrExit(F &&measure) -> decltype(measure())
+{
+    try {
+        return measure();
+    } catch (const std::runtime_error &e) {
+        NDA_FATAL("%s", e.what());
+    }
 }
 
 /** `\r`-style progress meter for grid sweeps (stderr; silenced by

@@ -52,8 +52,8 @@ main(int argc, char **argv)
     for (Profile p : profiles)
         configs.push_back(makeProfile(p));
     ScopedTimer grid_timer(obs.timings, "grid");
-    const std::vector<RunResult> grid =
-        runGrid(workloads, configs, one, gridProgress);
+    const std::vector<RunResult> grid = measuredOrExit(
+        [&] { return runGrid(workloads, configs, one, gridProgress); });
     grid_timer.stop();
 
     std::vector<ProfileAgg> agg(profiles.size());
@@ -130,8 +130,8 @@ main(int argc, char **argv)
             cfg.security.extraBroadcastDelay = delay;
             delay_cfgs.push_back(cfg);
         }
-        const std::vector<RunResult> dgrid =
-            runGrid(workloads, delay_cfgs, one);
+        const std::vector<RunResult> dgrid = measuredOrExit(
+            [&] { return runGrid(workloads, delay_cfgs, one); });
         double base = 0;
         for (std::size_t d = 0; d < delay_cfgs.size(); ++d) {
             std::vector<double> rel;

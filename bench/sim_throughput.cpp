@@ -176,7 +176,8 @@ main(int argc, char **argv)
             const SimConfig cfg = makeProfile(p);
             const auto t0 = Clock::now();
             for (const auto &w : workloads) {
-                const WindowStats s = runWindow(*w, cfg, sp.baseSeed, sp);
+                const WindowStats s = measuredOrExit(
+                    [&] { return runWindow(*w, cfg, sp.baseSeed, sp); });
                 // Warm-up instructions are simulated work too.
                 r.instructions += s.instructions + sp.warmupInsts;
             }
@@ -195,8 +196,9 @@ main(int argc, char **argv)
             configs.push_back(makeProfile(p));
         const auto t0 = Clock::now();
         ScopedTimer grid_timer(obs.timings, "harness-grid");
-        const std::vector<RunResult> grid =
-            runGrid(workloads, configs, sp, nullptr, &grid_stats);
+        const std::vector<RunResult> grid = measuredOrExit([&] {
+            return runGrid(workloads, configs, sp, nullptr, &grid_stats);
+        });
         grid_timer.stop();
         grid_seconds = secondsSince(t0);
         for (const RunResult &r : grid)

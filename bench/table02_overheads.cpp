@@ -90,9 +90,10 @@ main(int argc, char **argv)
     const std::unique_ptr<CheckpointStore> corpus = ckpt.open();
     GridStats grid_stats;
     ScopedTimer grid_timer(obs.timings, "grid");
-    const std::vector<RunResult> grid = runGrid(
-        workloads, configs, sp, gridProgress, &grid_stats,
-        corpus.get());
+    const std::vector<RunResult> grid = measuredOrExit([&] {
+        return runGrid(workloads, configs, sp, gridProgress, &grid_stats,
+                       corpus.get());
+    });
     grid_timer.stop();
 
     TablePrinter t({"mechanism", "ctrl-steer (mem)", "ctrl-steer "

@@ -51,10 +51,11 @@ AttackBase::run(const SimConfig &cfg, std::uint8_t secret,
 
     auto core = makeCore(prog, attack_cfg);
     core->attachDift(&dift);
-    core->run(~std::uint64_t{0}, max_cycles);
-    NDA_ASSERT(core->halted(), "attack '%s' did not halt in %llu cycles",
-               name().c_str(),
-               static_cast<unsigned long long>(max_cycles));
+    const StopReason why = core->run(~std::uint64_t{0}, max_cycles);
+    NDA_ASSERT(why == StopReason::kHalted,
+               "attack '%s' did not halt: %s at cycle %llu",
+               name().c_str(), stopReasonName(why),
+               static_cast<unsigned long long>(core->cycle()));
 
     AttackResult result;
     result.secret = secret;

@@ -101,13 +101,6 @@ Btb::update(Addr pc, Addr target)
 }
 
 void
-Btb::invalidate(Addr pc)
-{
-    if (Entry *e = find(pc))
-        e->valid = false;
-}
-
-void
 Btb::reset()
 {
     for (auto &e : entries_)

@@ -73,9 +73,6 @@ class Btb
     /** Install/refresh pc -> target (called at branch *execution*). */
     void update(Addr pc, Addr target);
 
-    /** Invalidate the entry for pc, if any (for tests). */
-    void invalidate(Addr pc);
-
     void reset();
 
     std::uint64_t hits() const { return hits_; }

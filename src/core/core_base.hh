@@ -23,6 +23,18 @@ class TaintEngine;
 class InvariantChecker;
 class CpiStackProfiler;
 
+/** Why CoreBase::run returned. */
+enum class StopReason : std::uint8_t {
+    kTarget,     ///< the requested instructions committed
+    kHalted,     ///< every hardware thread halted
+    kCycleLimit, ///< the requested cycles elapsed
+    kNoProgress, ///< nothing committed for CoreBase::kNoCommitCycles
+    kInvariant,  ///< the attached invariant checker saw a violation
+};
+
+/** Spelling of a stop reason in error lines and fuzz details. */
+const char *stopReasonName(StopReason why);
+
 /** Abstract timing core. */
 class CoreBase
 {
@@ -38,13 +50,10 @@ class CoreBase
 
     /**
      * Attach the per-cycle micro-architectural invariant checker
-     * (fuzz/invariant_checker.hh). Cores without speculative state
-     * have nothing to check; the default is a no-op.
+     * (fuzz/invariant_checker.hh); run() stops at its first violation.
+     * Cores without speculative state never call it, so it stays clean.
      */
-    virtual void attachChecker(InvariantChecker *checker)
-    {
-        (void)checker;
-    }
+    void attachChecker(InvariantChecker *checker) { checker_ = checker; }
 
     /**
      * Attach the causal CPI-stack profiler (obs/cpi_stack.hh): the
@@ -66,20 +75,27 @@ class CoreBase
         return 0;
     }
 
-    /** Advance one cycle. */
-    virtual void tick() = 0;
+    /** Advance one cycle; false once the core has halted, so run()
+     *  needs no per-cycle halted() call. */
+    virtual bool tick() = 0;
 
     /**
-     * Run until the program halts, `max_insts` more instructions
-     * commit, or `max_cycles` more cycles elapse.
+     * The one run loop: tick until `max_insts` more instructions
+     * commit, the program halts, `max_cycles` more cycles elapse,
+     * nothing commits for kNoCommitCycles cycles, or the attached
+     * checker records a violation, and say which. Both limits
+     * saturate, so ~0 means unbounded.
      */
-    virtual void run(std::uint64_t max_insts,
-                     Cycle max_cycles = ~Cycle{0}) = 0;
+    StopReason run(std::uint64_t max_insts, Cycle max_cycles = ~Cycle{0});
+
+    /** The no-commit watchdog of run(): a core this long without a
+     *  commit is deadlocked. */
+    static constexpr Cycle kNoCommitCycles = 500'000;
 
     virtual bool halted() const = 0;
-    virtual Cycle cycle() const = 0;
+    Cycle cycle() const { return cycle_; }
     /** Total committed instructions since construction. */
-    virtual std::uint64_t committedInsts() const = 0;
+    std::uint64_t committedInsts() const { return committed_; }
 
     /** Committed architectural register value. */
     virtual RegVal archReg(RegId r) const = 0;
@@ -126,6 +142,14 @@ class CoreBase
         counters().registerStats(reg, prefix + ".perf");
         hierarchy().registerStats(reg, prefix + ".mem");
     }
+
+  protected:
+    Cycle cycle_ = 0; ///< cycles ticked since construction
+    std::uint64_t committed_ = 0; ///< what committedInsts() returns
+    /** Committed-instruction count at which the current run() stops;
+     *  a core that commits several per cycle stops exactly here. */
+    std::uint64_t commitTarget_ = ~std::uint64_t{0};
+    InvariantChecker *checker_ = nullptr; ///< usually absent
 };
 
 } // namespace nda

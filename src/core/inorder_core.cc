@@ -36,11 +36,11 @@ InOrderCore::InOrderCore(Program prog, const SimConfig &cfg)
 {
 }
 
-void
+bool
 InOrderCore::tick()
 {
     if (interp_.halted())
-        return;
+        return false;
     ++cycle_;
     ++counters_.cycles;
     // MSHR mode: fills land while the core is stalled on them, so
@@ -58,11 +58,12 @@ InOrderCore::tick()
             cpiStack_->addSlots(stallSlotCause(stallClass_), 1,
                                 stallPc_);
         }
-        return;
+        return true;
     }
     const Addr inst_pc = interp_.pc();
-    const std::uint64_t before = interp_.instCount();
+    const std::uint64_t before = committed_;
     const Cycle cost = step();
+    committed_ = interp_.instCount();
     busyUntil_ = cycle_ + cost;
     stallPc_ = inst_pc; // subsequent stall cycles pay for this inst
     ++counters_.cycleClass[static_cast<int>(CycleClass::kCommit)];
@@ -70,25 +71,12 @@ InOrderCore::tick()
         cpiStack_->onCycle();
         // The halting edge (invalid PC) retires nothing — its one
         // slot is a window artifact, not a stall.
-        cpiStack_->addSlots(interp_.instCount() > before
+        cpiStack_->addSlots(committed_ > before
                                 ? StallCause::kCommit
                                 : StallCause::kIdle,
                             1, inst_pc);
     }
-}
-
-void
-InOrderCore::run(std::uint64_t max_insts, Cycle max_cycles)
-{
-    const std::uint64_t committed = interp_.instCount();
-    const std::uint64_t target =
-        max_insts > ~std::uint64_t{0} - committed ? ~std::uint64_t{0}
-                                                  : committed + max_insts;
-    const Cycle limit =
-        max_cycles == ~Cycle{0} ? ~Cycle{0} : cycle_ + max_cycles;
-    while (!interp_.halted() && interp_.instCount() < target &&
-           cycle_ < limit)
-        tick();
+    return !interp_.halted();
 }
 
 TaintWord
@@ -115,6 +103,7 @@ InOrderCore::restoreCheckpoint(const SimSnapshot &snap)
     NDA_ASSERT(cycle_ == 0,
                "checkpoints restore into freshly constructed cores");
     interp_.restore(snap.arch);
+    committed_ = interp_.instCount();
     lastFetchLine_ = snap.arch.lastFetchLine;
     if (snap.hasMem)
         hier_.restore(snap.mem);

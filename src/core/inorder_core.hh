@@ -31,16 +31,9 @@ class InOrderCore : public CoreBase
      * Advance one cycle; when the current instruction's latency has
      * elapsed, the next instruction executes.
      */
-    void tick() override;
-    void run(std::uint64_t max_insts, Cycle max_cycles) override;
+    bool tick() override;
 
     bool halted() const override { return interp_.halted(); }
-    Cycle cycle() const override { return cycle_; }
-    std::uint64_t
-    committedInsts() const override
-    {
-        return interp_.instCount();
-    }
 
     RegVal archReg(RegId r) const override { return interp_.reg(r); }
     RegVal msr(unsigned idx) const override { return interp_.msr(idx); }
@@ -80,7 +73,6 @@ class InOrderCore : public CoreBase
     Interpreter interp_;
     MemHierarchy hier_;
 
-    Cycle cycle_ = 0;
     Cycle busyUntil_ = 0;
     CycleClass stallClass_ = CycleClass::kCommit;
     /** Line of the last i-fetch, carried in ArchState::lastFetchLine. */

@@ -129,7 +129,6 @@ class Lsq
 
     std::uint64_t searches() const { return searches_; }
     std::uint64_t forwards() const { return forwards_; }
-    std::uint64_t stallRetries() const { return stallRetries_; }
     void resetStats() { searches_ = 0; forwards_ = 0; stallRetries_ = 0; }
 
     /** Bind searches/forwards/stall_retries + forward_rate. */

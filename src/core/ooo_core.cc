@@ -239,7 +239,7 @@ OooCore::corruptForTest(FuzzCorruption kind)
     }
 }
 
-void
+bool
 OooCore::tick()
 {
     ++cycle_;
@@ -263,27 +263,7 @@ OooCore::tick()
 
     if (checker_)
         checker_->onCycleEnd(*this);
-}
-
-void
-OooCore::run(std::uint64_t max_insts, Cycle max_cycles)
-{
-    const std::uint64_t target =
-        max_insts > ~std::uint64_t{0} - committed_ ? ~std::uint64_t{0}
-                                                   : committed_ + max_insts;
-    commitTarget_ = target;
-    const Cycle cycle_limit =
-        max_cycles == ~Cycle{0} ? ~Cycle{0} : cycle_ + max_cycles;
-    lastCommitCycle_ = cycle_;
-    while (!halted() && committed_ < target && cycle_ < cycle_limit) {
-        tick();
-        NDA_ASSERT(cycle_ - lastCommitCycle_ < 500000,
-                   "no commit for 500k cycles at pc ~%llu (deadlock?)",
-                   static_cast<unsigned long long>(
-                       threads_[0].rob.empty()
-                           ? threads_[0].fetchPc
-                           : threads_[0].rob.front()->pc));
-    }
+    return !halted();
 }
 
 // --------------------------------------------------------------------------
@@ -305,8 +285,8 @@ OooCore::commitStage()
         const unsigned tid = rotatedTid(k);
         ThreadContext &tc = threads_[tid];
 
-    // Stop exactly at the run() instruction target so measurement
-    // windows have precise boundaries.
+    // Stop exactly at run()'s commit target so measurement windows
+    // have precise boundaries.
     while (ncommit < cfg_.core.commitWidth && !tc.rob.empty() &&
            !tc.halted && committed_ < commitTarget_) {
         DynInstPtr inst = tc.rob.front();
@@ -445,7 +425,6 @@ OooCore::commitStage()
         ++ncommit;
         ++committed_;
         ++counters_.committedInsts;
-        lastCommitCycle_ = cycle_;
         if (cpiStack_)
             cpiStack_->addSlots(StallCause::kCommit, 1, inst->pc);
 

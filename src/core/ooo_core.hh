@@ -52,13 +52,10 @@ class OooCore : public CoreBase
     /** The core keeps its own copy of `prog`. */
     OooCore(Program prog, const SimConfig &cfg);
 
-    void tick() override;
-    void run(std::uint64_t max_insts, Cycle max_cycles) override;
+    bool tick() override;
 
     /** Every hardware thread has halted. */
     bool halted() const override;
-    Cycle cycle() const override { return cycle_; }
-    std::uint64_t committedInsts() const override { return committed_; }
 
     RegVal archReg(RegId r) const override;
     RegVal msr(unsigned idx) const override
@@ -84,16 +81,6 @@ class OooCore : public CoreBase
      * pays nothing.
      */
     void attachDift(TaintEngine *engine) override;
-
-    /**
-     * Attach the per-cycle invariant checker (fuzz/). Like the DIFT
-     * engine, the tick hook is guarded by a null check, so detached
-     * simulation pays nothing.
-     */
-    void attachChecker(InvariantChecker *checker) override
-    {
-        checker_ = checker;
-    }
 
     /**
      * Attach the causal CPI-stack profiler. Per cycle the commit
@@ -125,11 +112,6 @@ class OooCore : public CoreBase
     }
     PredictorUnit &predictor() { return bp_; }
     const SimConfig &config() const { return cfg_; }
-    std::size_t
-    fetchQueueSize(unsigned tid = 0) const
-    {
-        return threads_[tid].fetchQueue.size();
-    }
 
     unsigned numThreads() const { return numThreads_; }
     bool threadHalted(unsigned tid) const { return threads_[tid].halted; }
@@ -139,10 +121,6 @@ class OooCore : public CoreBase
     archRegOf(unsigned tid, RegId r) const
     {
         return regs_.value(threads_[tid].commitMap[r]);
-    }
-    RegVal msrOf(unsigned tid, unsigned idx) const
-    {
-        return threads_[tid].msrs[idx];
     }
 
     /** Taint of the committed architectural register `r` (0 if no
@@ -389,17 +367,12 @@ class OooCore : public CoreBase
 
     // --- misc state -----------------------------------------------------------
     InstSeqNum nextSeq_ = 0;
-    Cycle cycle_ = 0;
-    std::uint64_t commitTarget_ = ~std::uint64_t{0};
-    std::uint64_t committed_ = 0;
     /** Delivered faults since the entry point (ArchState::faultCount);
      *  unlike counters_.faults, survives resetCounters(). */
     std::uint64_t faultCount_ = 0;
     int outstandingMisses_ = 0;
-    Cycle lastCommitCycle_ = 0;
     std::function<void(const DynInst &, Cycle)> retireHook_;
     TaintEngine *dift_ = nullptr; ///< leakage oracle, usually absent
-    InvariantChecker *checker_ = nullptr; ///< fuzz invariant checker
 
     // --- CPI-stack attribution state ---------------------------------------
     CpiStackProfiler *cpiStack_ = nullptr; ///< pooled; usually absent

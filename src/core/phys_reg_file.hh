@@ -77,7 +77,6 @@ class PhysRegFile
 
     bool ready(PhysRegId r) const { return ready_[r]; }
     void setReady(PhysRegId r) { ready_[r] = true; }
-    void clearReady(PhysRegId r) { ready_[r] = false; }
 
     /**
      * Reset all registers to not-ready and rebuild the free lists,

@@ -73,7 +73,9 @@ struct WarmingWork;
  * Fast-forward `ff_insts` instructions of `prog` on the interpreter
  * with functional warming into structures of the given geometry, and
  * return the resulting checkpoint. Deterministic: same program,
- * geometry, and instruction count always yield the same snapshot.
+ * geometry, and instruction count always yield the same snapshot. A
+ * program that halts first yields its halted snapshot (arch.halted),
+ * and a core restored from it is halted.
  *
  * `dift`, if non-null, is attached for the fast-forward so the
  * checkpoint carries architectural taint. `warm_work`, if non-null,

@@ -40,7 +40,6 @@ class SecretMap
     unsigned addMsr(unsigned idx, std::string label);
 
     bool empty() const { return nextBit_ == 0; }
-    unsigned numSecrets() const { return nextBit_; }
 
     /** Display label of taint bit `bit` ("?" if out of range). */
     const std::string &label(unsigned bit) const;

@@ -16,13 +16,6 @@ namespace nda {
 
 namespace {
 
-/** Cycles per run() slice — kept under the OoO core's 500k-cycle
- *  no-commit watchdog so a wedged candidate program is reported as a
- *  fuzz failure instead of aborting the whole campaign. */
-constexpr Cycle kSliceCycles = 400'000;
-/** Instruction cap per slice; avoids the in-order core's unchecked
- *  `committed + max_insts` sum wrapping on ~0. */
-constexpr std::uint64_t kSliceInsts = 1'000'000'000;
 /** Oracle (interpreter) instruction budget per candidate. */
 constexpr std::uint64_t kOracleInsts = 10'000'000;
 
@@ -141,32 +134,6 @@ hashState(Fnv &fnv, const ModelEndState &s)
         fnv.u64(t);
 }
 
-/**
- * Run `core` to completion in watchdog-safe slices.
- * @return true on halt; false (with `why`) on hang or budget blowout.
- */
-bool
-runCoreSliced(CoreBase &core, Cycle max_cycles, std::string &why)
-{
-    while (!core.halted() && core.cycle() < max_cycles) {
-        const std::uint64_t before = core.committedInsts();
-        const Cycle slice =
-            std::min<Cycle>(kSliceCycles, max_cycles - core.cycle());
-        core.run(kSliceInsts, slice);
-        if (!core.halted() && core.committedInsts() == before) {
-            why = "no commit progress for " + std::to_string(slice) +
-                  " cycles at cycle " + std::to_string(core.cycle());
-            return false;
-        }
-    }
-    if (!core.halted()) {
-        why = "cycle budget (" + std::to_string(max_cycles) +
-              ") exhausted";
-        return false;
-    }
-    return true;
-}
-
 } // namespace
 
 const char *
@@ -265,23 +232,26 @@ fuzzProgram(const Program &prog, std::uint64_t seed,
         InvariantChecker checker;
         if (p.checkInvariants)
             core->attachChecker(&checker);
-        const auto report_invariants = [&] {
-            if (p.checkInvariants && !checker.clean()) {
-                fail(profile, FuzzFailureKind::kInvariantViolation,
-                     std::to_string(checker.totalViolations()) +
-                         " violations, first: " +
-                         InvariantChecker::describe(
-                             checker.violations().front()));
-            }
-        };
 
-        std::string why;
-        if (!runCoreSliced(*core, p.maxCycles, why)) {
-            fail(profile, FuzzFailureKind::kCoreHang, why);
+        // A run cut short (a hang, or the checker's first violation)
+        // has no end state to compare.
+        const StopReason why = core->run(~std::uint64_t{0}, p.maxCycles);
+        if (why != StopReason::kHalted) {
+            std::string detail =
+                why == StopReason::kInvariant
+                    ? std::to_string(checker.totalViolations()) +
+                          " violations, first: " +
+                          InvariantChecker::describe(
+                              checker.violations().front())
+                    : std::string(stopReasonName(why)) + " at cycle " +
+                          std::to_string(core->cycle());
             fnv.u64(static_cast<std::uint64_t>(profile));
-            fnv.str(why);
-            // A broken invariant is often why the core hung.
-            report_invariants();
+            fnv.str(detail);
+            fail(profile,
+                 why == StopReason::kInvariant
+                     ? FuzzFailureKind::kInvariantViolation
+                     : FuzzFailureKind::kCoreHang,
+                 std::move(detail));
             continue;
         }
 
@@ -365,7 +335,6 @@ fuzzProgram(const Program &prog, std::uint64_t seed,
                          " differs");
             }
         }
-        report_invariants();
     }
 
     for (const FuzzFailure &f : out.failures) {
@@ -477,19 +446,14 @@ runWithInjection(const Program &prog, Profile profile,
     core->attachChecker(&checker);
 
     // Phase 1: run cleanly up to the injection point.
-    while (!core->halted() && core->cycle() < inject_cycle) {
-        const std::uint64_t before = core->committedInsts();
-        const Cycle slice = std::min<Cycle>(
-            kSliceCycles, inject_cycle - core->cycle());
-        core->run(kSliceInsts, slice);
-        if (!core->halted() && core->committedInsts() == before)
-            return out; // wedged before the injection point
-    }
+    const StopReason why = core->run(~std::uint64_t{0}, inject_cycle);
+    if (why == StopReason::kNoProgress)
+        return out; // wedged before the injection point
 
     // Short programs may halt before the requested injection point;
     // restart and inject from cycle 0 rather than reporting nothing
     // applicable.
-    if (core->halted() && inject_cycle > 0) {
+    if (why == StopReason::kHalted && inject_cycle > 0) {
         core = std::make_unique<OooCore>(prog, cfg);
         core->attachChecker(&checker);
     }

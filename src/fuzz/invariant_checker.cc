@@ -219,7 +219,8 @@ InvariantChecker::checkFreeList(const OooCore &core)
     enum : std::uint8_t { kUnowned = 0, kFree, kCommitted, kInFlight };
     static const char *const owner_name[] = {"unowned", "free list",
                                              "commit map", "ROB dest"};
-    std::vector<std::uint8_t> owner(core.regs_.size(), kUnowned);
+    std::vector<std::uint8_t> &owner = regOwner_;
+    owner.assign(core.regs_.size(), kUnowned);
 
     const auto claim = [&](PhysRegId r, std::uint8_t who,
                            InstSeqNum seq) {
@@ -562,7 +563,8 @@ InvariantChecker::checkMshr(const OooCore &core)
                        " entries, capacity " +
                        std::to_string(file.capacity()));
         }
-        std::vector<Addr> seen;
+        std::vector<Addr> &seen = mshrLines_;
+        seen.clear();
         for (const MshrEntry &e : file.entries()) {
             if (std::find(seen.begin(), seen.end(), e.lineAddr) !=
                 seen.end()) {

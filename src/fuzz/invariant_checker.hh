@@ -148,6 +148,9 @@ class InvariantChecker
     void checkMshr(const OooCore &core);
 
     std::vector<InvariantViolation> violations_;
+    // Per-cycle scratch, kept so checking allocates nothing per cycle.
+    std::vector<std::uint8_t> regOwner_; ///< checkFreeList: owner per reg
+    std::vector<Addr> mshrLines_;        ///< checkMshr: lines seen per file
     std::uint64_t totalViolations_ = 0;
     std::uint64_t cyclesChecked_ = 0;
 };

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "common/thread_pool.hh"
 #include "ckpt/checkpoint_store.hh"
@@ -444,8 +445,12 @@ GridService::handleRequest(const std::string &request_line,
             w.value(static_cast<std::uint64_t>(total));
         }));
     };
-    const std::vector<RunResult> results =
-        runGrid(workloads, configs, p, progress, &gs, corpus_);
+    std::vector<RunResult> results;
+    try {
+        results = runGrid(workloads, configs, p, progress, &gs, corpus_);
+    } catch (const std::runtime_error &e) {
+        return error(e.what()); // e.g. a window past the program's end
+    }
 
     for (std::size_t w_idx = 0; w_idx < workloads.size(); ++w_idx) {
         for (std::size_t c = 0; c < configs.size(); ++c) {

@@ -60,7 +60,7 @@ bool parseJson(const std::string &text, JsonValue &out,
 /** Cumulative service-side totals across all requests handled. */
 struct GridServiceStats {
     std::uint64_t requests = 0;   ///< well-formed requests run
-    std::uint64_t errors = 0;     ///< malformed requests rejected
+    std::uint64_t errors = 0;     ///< requests answered with an error
     std::uint64_t cells = 0;      ///< (workload, profile) cells served
     std::uint64_t ckptHits = 0;   ///< corpus hits across requests
     std::uint64_t ckptMisses = 0; ///< corpus misses across requests
@@ -103,6 +103,8 @@ struct GridServiceStats {
  *    "ckpt_hits":..,"ckpt_misses":..,"ckpt_bytes":..,
  *    "ckpt_chain_len":..,"ff_runs":..,"ff_insts":..}
  *   {"type":"error","id":..,"error":"..."}
+ *     ...for a malformed request, or for a window the program halts
+ *     (or the core stops committing) in; the service keeps serving
  */
 class GridService
 {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
 
 #include "common/log.hh"
 #include "common/stats_util.hh"
@@ -131,48 +132,54 @@ runWindow(const Workload &workload, const SimConfig &cfg,
         core->attachCpiStack(cpi.get());
     }
 
+    // A fast-forward that halted ends the window before it starts. A
+    // core restored from its snapshot is halted too, except that SMT
+    // contexts beyond thread 0 are not in a single-thread snapshot.
+    bool ff_halted = false;
     if (p.fastforwardInsts > 0) {
-        if (ckpt != nullptr && ckpt->structurallyCompatible(cfg)) {
-            core->restoreCheckpoint(*ckpt);
-        } else {
+        SimSnapshot own;
+        if (ckpt == nullptr || !ckpt->structurallyCompatible(cfg)) {
             // No shared checkpoint (the per-window reference the
             // tests hold runGrid to) or its warming state does not
             // fit this config's geometry: fast-forward for this
             // window alone. Same deterministic procedure either way,
             // so results never depend on which path ran.
             WarmingWork warm;
-            const SimSnapshot own = buildWarmCheckpoint(
-                prog, cfg.memory, cfg.core.predictor,
-                p.fastforwardInsts, nullptr, &warm);
-            core->restoreCheckpoint(own);
+            own = buildWarmCheckpoint(prog, cfg.memory,
+                                      cfg.core.predictor,
+                                      p.fastforwardInsts, nullptr, &warm);
+            ckpt = &own;
             local.ffInsts += p.fastforwardInsts;
             ++local.ffRuns;
             local.warmITouches += warm.iTouches;
             local.warmDTouches += warm.dTouches;
             local.warmBpTrains += warm.bpTrains;
         }
+        core->restoreCheckpoint(*ckpt);
+        ff_halted = ckpt->arch.halted;
         ++local.restores;
-        NDA_ASSERT(!core->halted(),
-                   "workload '%s' halted during fast-forward — too "
-                   "short", workload.name().c_str());
     }
 
     // Warm pipeline state (and, without a fast-forward, caches and
-    // predictors too) under the detailed model.
-    core->run(p.warmupInsts, ~Cycle{0});
-    NDA_ASSERT(!core->halted(),
-               "workload '%s' halted during warm-up — too short",
-               workload.name().c_str());
+    // predictors too) under the detailed model, then measure.
+    StopReason why =
+        ff_halted ? StopReason::kHalted : core->run(p.warmupInsts);
     local.warmupInsts += p.warmupInsts;
-
-    // Measured window.
     core->resetCounters();
     if (cpi)
         cpi->reset();
-    core->run(p.measureInsts, ~Cycle{0});
-    NDA_ASSERT(!core->halted(),
-               "workload '%s' halted during measurement",
-               workload.name().c_str());
+    if (why == StopReason::kTarget)
+        why = core->run(p.measureInsts);
+    // A window that ended any other way measured nothing (run() says
+    // halted, not target, when the last instruction was the halt).
+    if (why != StopReason::kTarget) {
+        throw std::runtime_error(
+            "workload '" + workload.name() + "' (seed " +
+            std::to_string(seed) + ", profile " + cfg.name + "): " +
+            stopReasonName(why) + " after " +
+            std::to_string(core->committedInsts()) +
+            " instructions, before its measured window ended");
+    }
 
     const PerfCounters &c = core->counters();
     local.measuredInsts += c.committedInsts;

@@ -204,6 +204,8 @@ struct RunResult {
  * Run one sample window: fast-forward (or restore `ckpt` when given
  * and structurally compatible with `cfg`), detailed warm-up, measured
  * window. `work`, if set, receives this window's harness-side cost.
+ * Throws std::runtime_error naming the workload when the program
+ * halts (or the core stops committing) before the window ends.
  */
 WindowStats runWindow(const Workload &workload, const SimConfig &cfg,
                       std::uint64_t seed, const SampleParams &p,
@@ -223,6 +225,7 @@ RunResult runSampled(const Workload &workload, const SimConfig &cfg,
  * dispatch every (cell, sample) window to a pool of `p.jobs` lanes
  * (fewer when a phase has fewer tasks), then reduce. Cell results
  * are returned in row-major order: result[w * configs.size() + c].
+ * A window runWindow cannot measure throws out of runGrid.
  *
  * `progress`, if set, is invoked after each *measured* window
  * completes with (windows done so far, total windows); fast-forwards

@@ -19,32 +19,6 @@ traceFormatName(TraceFormat f)
     }
 }
 
-bool
-parseTraceFormat(const std::string &s, TraceFormat &out)
-{
-    if (s == "chrome") {
-        out = TraceFormat::kChrome;
-    } else if (s == "konata") {
-        out = TraceFormat::kKonata;
-    } else if (s == "text") {
-        out = TraceFormat::kText;
-    } else {
-        return false;
-    }
-    return true;
-}
-
-const char *
-traceFormatExtension(TraceFormat f)
-{
-    switch (f) {
-      case TraceFormat::kChrome: return "json";
-      case TraceFormat::kKonata: return "kanata";
-      case TraceFormat::kText: return "txt";
-      default: return "txt";
-    }
-}
-
 namespace {
 
 std::string

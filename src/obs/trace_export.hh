@@ -31,12 +31,6 @@ enum class TraceFormat : std::uint8_t { kChrome, kKonata, kText };
 
 const char *traceFormatName(TraceFormat f);
 
-/** Parse "chrome" / "konata" / "text"; false on anything else. */
-bool parseTraceFormat(const std::string &s, TraceFormat &out);
-
-/** Conventional file extension (without dot) for a format. */
-const char *traceFormatExtension(TraceFormat f);
-
 /** Renders a record vector in any supported trace format. */
 class TraceExporter
 {

@@ -4,8 +4,9 @@
  * parser must accept the protocol's documents and reject malformed
  * input without crashing; handleRequest must stream progress, cell,
  * and done lines for well-formed requests, emit a single error line
- * (and survive) for bad ones, and share its checkpoint corpus across
- * requests so a repeated grid is served without fast-forward work.
+ * (and survive) for bad ones and for windows past the program's end,
+ * and share its checkpoint corpus across requests so a repeated grid
+ * is served without fast-forward work.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +16,10 @@
 #include <vector>
 
 #include "ckpt/checkpoint_store.hh"
+#include "core/snapshot.hh"
 #include "harness/grid_service.hh"
+#include "harness/profiles.hh"
+#include "isa/program.hh"
 
 namespace nda {
 namespace {
@@ -272,6 +276,46 @@ TEST(GridService, SharesCorpusAcrossRequestsBitIdentically)
     EXPECT_EQ(service.stats().ckptHits,
               static_cast<std::uint64_t>(
                   warm[0].find("ckpt_hits")->number));
+    fs::remove_all(dir);
+}
+
+TEST(GridService, AnswersAHaltedWindowWithOneErrorLineAndSurvives)
+{
+    // No registered workload halts, so plant a halted checkpoint in
+    // the corpus under compute's key: the window restored from it
+    // stops before it measures anything.
+    const fs::path dir =
+        fs::path(testing::TempDir()) / "grid_service_halted";
+    fs::remove_all(dir);
+    CheckpointStore store(dir.string());
+    const SimConfig cfg = makeProfile(Profile::kOoo);
+    ProgramBuilder b("halts");
+    b.movi(1, 7).halt();
+    const SimSnapshot halted = buildWarmCheckpoint(
+        b.build(), cfg.memory, cfg.core.predictor, 2'000);
+    ASSERT_TRUE(halted.arch.halted);
+    store.store({"compute", 1, 2'000,
+                 geometryFingerprint(cfg.memory, cfg.core.predictor)},
+                halted);
+
+    GridService service(&store);
+    Captured cap;
+    EXPECT_FALSE(service.handleRequest(
+        R"({"id":"h","workloads":["compute"],"profiles":["OoO"],)"
+        R"("fastforward":2000,"warmup":100,"measure":500,"samples":1})",
+        cap.emit()));
+    ASSERT_EQ(cap.lines.size(), 1u);
+    const JsonValue v = parsed(cap.lines[0]);
+    EXPECT_EQ(v.find("type")->string, "error");
+    EXPECT_EQ(v.find("id")->string, "h");
+    const std::string &why = v.find("error")->string;
+    EXPECT_NE(why.find("'compute'"), std::string::npos) << why;
+    EXPECT_NE(why.find("halted"), std::string::npos) << why;
+    EXPECT_EQ(service.stats().errors, 1u);
+
+    Captured next;
+    EXPECT_TRUE(service.handleRequest(kSmallRequest, next.emit()));
+    EXPECT_EQ(next.ofType("done").size(), 1u);
     fs::remove_all(dir);
 }
 

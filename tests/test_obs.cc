@@ -844,19 +844,6 @@ TEST(TextExport, MatchesWaterfall)
     EXPECT_EQ(exp.render(TraceFormat::kText), exp.exportText());
 }
 
-TEST(TraceFormat, NameParseRoundTrip)
-{
-    for (TraceFormat f : {TraceFormat::kChrome, TraceFormat::kKonata,
-                          TraceFormat::kText}) {
-        TraceFormat parsed{};
-        ASSERT_TRUE(parseTraceFormat(traceFormatName(f), parsed));
-        EXPECT_EQ(parsed, f);
-    }
-    TraceFormat dummy{};
-    EXPECT_FALSE(parseTraceFormat("perfetto", dummy));
-    EXPECT_FALSE(parseTraceFormat("", dummy));
-}
-
 // ---------------------------------------------------------------------
 // Canonical stats schema vs the committed golden
 // ---------------------------------------------------------------------
