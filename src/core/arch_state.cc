@@ -1,21 +1,26 @@
 #include "core/arch_state.hh"
 
 #include "dift/taint_engine.hh"
-#include "isa/interpreter.hh"
 #include "isa/program.hh"
 
 namespace nda {
 
 void
-ArchState::reset(const Program &prog)
+ArchState::reset(const Program &prog, unsigned tid)
 {
     *this = ArchState{};
-    loadDataSegments(prog, mem);
+    for (const DataSegment &seg : prog.data) {
+        if (tid != 0)
+            break; // memory is shared: thread 0's state holds it
+        mem.writeBytes(seg.base, seg.bytes.data(), seg.bytes.size());
+        mem.setPerm(seg.base, seg.bytes.size(), seg.perm);
+    }
     for (int i = 0; i < kNumArchRegs; ++i)
         regs[i] = prog.initialRegs[i];
     for (int i = 0; i < kNumMsrRegs; ++i)
         msrs[i] = prog.initialMsrs[i];
-    pc = prog.entry;
+    pc = tid == 0 || prog.smtEntry == ~Addr{0} ? prog.entry
+                                               : prog.smtEntry;
 }
 
 void

@@ -5,8 +5,9 @@
  * engine is attached) the architectural taint that travels with them.
  *
  * The interpreter *runs on* an ArchState directly; the timing cores
- * (`InOrderCore`, `OooCore`) save into / restore from one at window
- * boundaries (CoreBase::saveCheckpoint / restoreCheckpoint). Because
+ * (`InOrderCore`, `OooCore`) are constructed in one and save into one
+ * at window boundaries (CoreBase::saveCheckpoint / restoreCheckpoint).
+ * An engine built without a start state begins at reset(). Because
  * NDA only changes timing, an ArchState captured from any engine at a
  * commit boundary is a valid starting point for any other — this is
  * what makes SMARTS-style checkpoint reuse (snapshot.hh) sound.
@@ -56,9 +57,10 @@ struct ArchState {
     TaintWord msrTaint[kNumMsrRegs] = {};
     std::unordered_map<Addr, TaintWord> memTaint; ///< per byte, sparse
 
-    /** Reinitialize from a program image (entry PC, initial regs/MSRs,
-     *  data segments); clears taint. */
-    void reset(const Program &prog);
+    /** The program's cold start for hardware thread `tid`: initial
+     *  regs/MSRs, the entry PC (the SMT entry, if any, for tid > 0),
+     *  and for thread 0 the data segments. Clears taint. */
+    void reset(const Program &prog, unsigned tid = 0);
 
     /** Copy the engine's architectural taint in; sets hasTaint. */
     void captureTaint(const TaintEngine &dift);

@@ -1,5 +1,8 @@
 #include "core/core_base.hh"
 
+#include <utility>
+
+#include "core/snapshot.hh"
 #include "fuzz/invariant_checker.hh"
 
 namespace nda {
@@ -45,6 +48,20 @@ CoreBase::run(std::uint64_t max_insts, Cycle max_cycles)
             return StopReason::kNoProgress;
         running = tick();
     }
+}
+
+void
+CoreBase::applyStart(const Program &prog, const SimSnapshot *start)
+{
+    if (start) {
+        restoreCheckpoint(*start);
+        return;
+    }
+    SimSnapshot cold;
+    cold.arch.reset(prog);
+    MemoryMap image = std::exchange(cold.arch.mem, MemoryMap{});
+    restoreCheckpoint(cold);
+    mem() = std::move(image);
 }
 
 } // namespace nda

@@ -44,7 +44,10 @@ class CoreBase
     /**
      * Attach the DIFT leakage oracle for this run (see dift/). Cores
      * that model no information flow ignore it; the default is a
-     * no-op so attaching is always safe.
+     * no-op so attaching is always safe. A start state's taint goes
+     * to the engine attached when the state is put in: to run a
+     * tainted checkpoint under DIFT, attach to a cold core, then
+     * restoreCheckpoint.
      */
     virtual void attachDift(TaintEngine *engine) { (void)engine; }
 
@@ -119,13 +122,14 @@ class CoreBase
     virtual void saveCheckpoint(SimSnapshot &out) const = 0;
 
     /**
-     * Seed a *freshly constructed* core from a warming checkpoint:
+     * Put `snap` into a *freshly constructed* core (asserted):
      * architectural registers, memory image, PC, and — where the
      * snapshot carries them and the geometry matches (asserted) —
-     * cache tags and predictor tables. Timing state (cycle count,
-     * in-flight instructions) is NOT part of a checkpoint; the core
-     * resumes from an empty pipeline, which is exactly the SMARTS
-     * detailed warm-up's job to refill.
+     * cache tags and predictor tables. Every constructor ends here
+     * (makeCore), so callers need it only to re-start a cold core.
+     * Timing state (cycle count, in-flight instructions) is NOT part
+     * of a checkpoint; the core resumes from an empty pipeline, which
+     * is exactly the SMARTS detailed warm-up's job to refill.
      */
     virtual void restoreCheckpoint(const SimSnapshot &snap) = 0;
 
@@ -144,6 +148,11 @@ class CoreBase
     }
 
   protected:
+    /** End of every core constructor: restoreCheckpoint(*start), or
+     *  the program's cold start (ArchState::reset) when `start` is
+     *  null, with its memory image moved in, not copied. */
+    void applyStart(const Program &prog, const SimSnapshot *start);
+
     Cycle cycle_ = 0; ///< cycles ticked since construction
     std::uint64_t committed_ = 0; ///< what committedInsts() returns
     /** Committed-instruction count at which the current run() stops;

@@ -6,11 +6,11 @@
 namespace nda {
 
 std::unique_ptr<CoreBase>
-makeCore(const Program &prog, const SimConfig &cfg)
+makeCore(Program prog, const SimConfig &cfg, const SimSnapshot *start)
 {
     if (cfg.inOrder)
-        return std::make_unique<InOrderCore>(prog, cfg);
-    return std::make_unique<OooCore>(prog, cfg);
+        return std::make_unique<InOrderCore>(std::move(prog), cfg, start);
+    return std::make_unique<OooCore>(std::move(prog), cfg, start);
 }
 
 } // namespace nda

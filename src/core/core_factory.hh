@@ -14,9 +14,10 @@
 
 namespace nda {
 
-/** Build a core for `cfg`. `prog` must outlive the returned core. */
-std::unique_ptr<CoreBase> makeCore(const Program &prog,
-                                   const SimConfig &cfg);
+/** Build a core for `cfg` that owns `prog` and starts in `start`,
+ *  or at the program's cold start when `start` is null. */
+std::unique_ptr<CoreBase> makeCore(Program prog, const SimConfig &cfg,
+                                   const SimSnapshot *start = nullptr);
 
 } // namespace nda
 

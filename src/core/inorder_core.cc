@@ -31,9 +31,12 @@ isAluOp(Opcode op)
 
 } // namespace
 
-InOrderCore::InOrderCore(Program prog, const SimConfig &cfg)
-    : interp_(std::move(prog)), hier_(cfg.memory)
+InOrderCore::InOrderCore(Program prog, const SimConfig &cfg,
+                         const SimSnapshot *start)
+    : interp_(std::move(prog), ArchState{}), hier_(cfg.memory)
 {
+    // interp_ starts blank: its one state load is applyStart's.
+    applyStart(interp_.program(), start);
 }
 
 bool

@@ -25,7 +25,10 @@ namespace nda {
 class InOrderCore : public CoreBase
 {
   public:
-    InOrderCore(Program prog, const SimConfig &cfg);
+    /** A core in `start`, or at the program's cold start when it is
+     *  null (CoreBase::applyStart). The core owns `prog`. */
+    InOrderCore(Program prog, const SimConfig &cfg,
+                const SimSnapshot *start = nullptr);
 
     /**
      * Advance one cycle; when the current instruction's latency has

@@ -12,7 +12,8 @@
 
 namespace nda {
 
-OooCore::OooCore(Program prog, const SimConfig &cfg)
+OooCore::OooCore(Program prog, const SimConfig &cfg,
+                 const SimSnapshot *start)
     : prog_(std::move(prog)),
       cfg_(cfg),
       numThreads_(std::max(1u, cfg.core.smtThreads)),
@@ -27,26 +28,16 @@ OooCore::OooCore(Program prog, const SimConfig &cfg)
     NDA_ASSERT(cfg.core.numPhysRegs >=
                    numThreads_ * kNumArchRegs + cfg.core.robEntries,
                "need at least arch-per-thread + ROB physical registers");
-    loadDataSegments(prog_, mem_);
     regs_.reset(kNumArchRegs, numThreads_);
     for (unsigned t = 0; t < numThreads_; ++t) {
         ThreadContext &tc = threads_[t];
         const PhysRegId base =
             static_cast<PhysRegId>(t * kNumArchRegs);
         tc.rmap.reset(base);
-        for (unsigned r = 0; r < kNumArchRegs; ++r) {
-            regs_.setValue(static_cast<PhysRegId>(base + r),
-                           prog_.initialRegs[r]);
+        for (unsigned r = 0; r < kNumArchRegs; ++r)
             tc.commitMap[r] = static_cast<PhysRegId>(base + r);
-        }
-        for (int i = 0; i < kNumMsrRegs; ++i)
-            tc.msrs[i] = prog_.initialMsrs[i];
-        // Thread 0 runs the program entry; co-resident contexts start
-        // at the SMT entry when the program provides one.
-        tc.fetchPc = t == 0 || prog_.smtEntry == ~Addr{0}
-                         ? prog_.entry
-                         : prog_.smtEntry;
     }
+    applyStart(prog_, start);
 }
 
 bool
@@ -156,12 +147,18 @@ OooCore::restoreCheckpoint(const SimSnapshot &snap)
             dift_->setMsrTaint(i, arch.msrTaint[i]);
         dift_->setMemTaintMap(arch.memTaint);
     }
-    // extraThreads seed matching hardware contexts; an smt=1 snapshot
-    // (no extras) leaves threads 1..N-1 at their constructor state.
-    const std::size_t nextra = std::min<std::size_t>(
-        snap.extraThreads.size(), numThreads_ - 1);
-    for (std::size_t i = 0; i < nextra; ++i)
-        applyThread(snap.extraThreads[i], threads_[i + 1]);
+    // extraThreads seed matching hardware contexts; a thread the
+    // snapshot does not cover (threads 1..N-1 of an smt=1 snapshot)
+    // starts at its cold start.
+    for (unsigned t = 1; t < numThreads_; ++t) {
+        if (t <= snap.extraThreads.size()) {
+            applyThread(snap.extraThreads[t - 1], threads_[t]);
+        } else {
+            ArchState cold;
+            cold.reset(prog_, t);
+            applyThread(cold, threads_[t]);
+        }
+    }
     if (snap.hasMem)
         hier_.restore(snap.mem);
     if (snap.hasPredictor)

@@ -49,8 +49,10 @@ enum class FuzzCorruption : std::uint8_t;
 class OooCore : public CoreBase
 {
   public:
-    /** The core keeps its own copy of `prog`. */
-    OooCore(Program prog, const SimConfig &cfg);
+    /** A core in `start`, or at the program's cold start when it is
+     *  null (CoreBase::applyStart). The core owns `prog`. */
+    OooCore(Program prog, const SimConfig &cfg,
+            const SimSnapshot *start = nullptr);
 
     bool tick() override;
 
@@ -139,8 +141,9 @@ class OooCore : public CoreBase
 
     /** Restore into a freshly constructed core only (asserted).
      *  Thread 0 always restores; extraThreads apply to matching
-     *  hardware contexts and surplus snapshot threads are ignored
-     *  (an smt=1 snapshot seeds thread 0 of an smt=2 core). */
+     *  hardware contexts, surplus snapshot threads are ignored, and
+     *  uncovered contexts take their cold start (an smt=1 snapshot
+     *  seeds thread 0 of an smt=2 core). */
     void restoreCheckpoint(const SimSnapshot &snap) override;
 
     /**

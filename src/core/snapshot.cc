@@ -68,9 +68,9 @@ SimSnapshot::structurallyCompatible(const SimConfig &cfg) const
 namespace {
 
 /**
- * Build and extend in one body: set up the warming interpreter, resume
- * it from `base` (or start at the program entry when `base` is null),
- * run to `target_insts` retired instructions, and snapshot it.
+ * Build and extend in one body: set up the warming interpreter in
+ * `base` (or at the program's cold start when `base` is null), run to
+ * `target_insts` retired instructions, and snapshot it.
  */
 SimSnapshot
 fastForward(const Program &prog, const HierarchyParams &mem_params,
@@ -78,19 +78,17 @@ fastForward(const Program &prog, const HierarchyParams &mem_params,
             std::uint64_t target_insts, TaintEngine *dift,
             WarmingWork *warm_work)
 {
-    Interpreter interp(prog);
+    Interpreter interp =
+        base ? Interpreter(prog, base->arch) : Interpreter(prog);
     MemHierarchy hier(mem_params);
     PredictorUnit bp(bp_params);
-    interp.attachWarming(&hier, &bp);
-    if (dift)
-        interp.attachDift(dift);
     if (base) {
-        // Attachments first, so restore() re-applies captured taint
-        // to the DIFT engine.
-        interp.restore(base->arch);
         hier.restore(base->mem);
         bp.restore(base->predictor);
     }
+    interp.attachWarming(&hier, &bp);
+    if (dift)
+        interp.attachDift(dift); // takes the base's captured taint
 
     interp.runTo(target_insts);
     if (warm_work)

@@ -326,6 +326,12 @@ boolField(const JsonValue &req, const char *key, bool dflt)
     return v->boolean;
 }
 
+/** The largest grid one request may ask for, in windows and in the
+ *  simulated instructions they imply: runGrid sizes per-window slots
+ *  by the window count before it runs anything. */
+constexpr std::uint64_t kMaxRequestWindows = 100'000;
+constexpr std::uint64_t kMaxRequestInsts = 100'000'000'000;
+
 std::vector<std::string>
 nameListField(const JsonValue &req, const char *key)
 {
@@ -426,6 +432,21 @@ GridService::handleRequest(const std::string &request_line,
         }
         for (Profile prof : profiles)
             configs.push_back(makeProfile(prof));
+        const std::uint64_t n_ff = workloads.size() * p.samples;
+        const std::uint64_t windows = n_ff * configs.size();
+        // Clamping bounds every term, so the sum cannot overflow, and
+        // as measure >= 1 a clamped term still exceeds the budget.
+        const std::uint64_t cap = kMaxRequestInsts;
+        if (windows > kMaxRequestWindows ||
+            windows * (std::min(p.warmupInsts, cap) +
+                       std::min(p.measureInsts, cap)) +
+                    n_ff * std::min(p.fastforwardInsts, cap) >
+                cap)
+            throw RequestError{
+                "request asks for " + std::to_string(windows) +
+                " windows; the budget is " +
+                std::to_string(kMaxRequestWindows) + " windows and " +
+                std::to_string(cap) + " simulated instructions"};
     } catch (const RequestError &e) {
         return error(e.message);
     }

@@ -89,7 +89,9 @@ struct GridServiceStats {
  * A number must be a non-negative integer that fits its field
  * exactly: below 2^32 for `samples` and `jobs`, below 2^53 for the
  * rest. A fraction or a larger value gets an error line, never a
- * truncated or rounded value.
+ * truncated or rounded value. A request whose windows (workloads x
+ * profiles x samples) or implied simulated instructions exceed a
+ * fixed budget also gets an error line.
  *
  * Response lines (one JSON object per line, in request order):
  *

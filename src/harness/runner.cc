@@ -48,9 +48,7 @@ GridStats::accumulate(const WindowWork &w)
     checkpointRestores += w.restores;
     detailedWarmupInsts += w.warmupInsts;
     measuredInsts += w.measuredInsts;
-    warmITouches += w.warmITouches;
-    warmDTouches += w.warmDTouches;
-    warmBpTrains += w.warmBpTrains;
+    warm += w.warm;
     ++windows;
 }
 
@@ -88,13 +86,13 @@ GridStats::registerStats(StatsRegistry &reg,
     g.counter("measured_insts", &measuredInsts,
               "detailed-model measured instructions executed");
     g.counter("windows", &windows, "measured sample windows run");
-    g.counter("warm_i_touches", &warmITouches,
+    g.counter("warm_i_touches", &warm.iTouches,
               "functional-warming i-cache accesses (fetch-line "
               "crossings) during fast-forward");
-    g.counter("warm_d_touches", &warmDTouches,
+    g.counter("warm_d_touches", &warm.dTouches,
               "functional-warming d-cache accesses (loads, stores, "
               "prefetches) during fast-forward");
-    g.counter("warm_bp_trains", &warmBpTrains,
+    g.counter("warm_bp_trains", &warm.bpTrains,
               "functional-warming branch trainings during "
               "fast-forward");
     g.counter("ckpt_hits", &ckptHits,
@@ -119,9 +117,36 @@ runWindow(const Workload &workload, const SimConfig &cfg,
           std::uint64_t seed, const SampleParams &p,
           const SimSnapshot *ckpt, WindowWork *work)
 {
-    const Program prog = workload.build(seed);
-    auto core = makeCore(prog, cfg);
+    Program prog = workload.build(seed);
     WindowWork local;
+
+    // The core starts in the shared checkpoint, or in this window's
+    // own fast-forward when there is none (the per-window reference
+    // the tests hold runGrid to) or its warming state does not fit
+    // this config's geometry: the same deterministic procedure either
+    // way. Without a fast-forward it starts at the cold start. A
+    // fast-forward that halted ends the window before it starts: the
+    // core is halted too, except that SMT contexts beyond thread 0
+    // are not in a single-thread snapshot.
+    std::unique_ptr<CoreBase> core;
+    bool ff_halted = false;
+    if (p.fastforwardInsts == 0) {
+        core = makeCore(std::move(prog), cfg);
+    } else {
+        SimSnapshot own;
+        if (ckpt == nullptr || !ckpt->structurallyCompatible(cfg)) {
+            own = buildWarmCheckpoint(prog, cfg.memory,
+                                      cfg.core.predictor,
+                                      p.fastforwardInsts, nullptr,
+                                      &local.warm);
+            ckpt = &own;
+            local.ffInsts += p.fastforwardInsts;
+            ++local.ffRuns;
+        }
+        core = makeCore(std::move(prog), cfg, ckpt);
+        ff_halted = ckpt->arch.halted;
+        ++local.restores;
+    }
 
     // CPI-stack attribution, measured window only (reset below). The
     // in-order model retires at most one instruction per cycle.
@@ -130,34 +155,6 @@ runWindow(const Workload &workload, const SimConfig &cfg,
         cpi = std::make_unique<CpiStackProfiler>(
             cfg.inOrder ? 1u : cfg.core.commitWidth);
         core->attachCpiStack(cpi.get());
-    }
-
-    // A fast-forward that halted ends the window before it starts. A
-    // core restored from its snapshot is halted too, except that SMT
-    // contexts beyond thread 0 are not in a single-thread snapshot.
-    bool ff_halted = false;
-    if (p.fastforwardInsts > 0) {
-        SimSnapshot own;
-        if (ckpt == nullptr || !ckpt->structurallyCompatible(cfg)) {
-            // No shared checkpoint (the per-window reference the
-            // tests hold runGrid to) or its warming state does not
-            // fit this config's geometry: fast-forward for this
-            // window alone. Same deterministic procedure either way,
-            // so results never depend on which path ran.
-            WarmingWork warm;
-            own = buildWarmCheckpoint(prog, cfg.memory,
-                                      cfg.core.predictor,
-                                      p.fastforwardInsts, nullptr, &warm);
-            ckpt = &own;
-            local.ffInsts += p.fastforwardInsts;
-            ++local.ffRuns;
-            local.warmITouches += warm.iTouches;
-            local.warmDTouches += warm.dTouches;
-            local.warmBpTrains += warm.bpTrains;
-        }
-        core->restoreCheckpoint(*ckpt);
-        ff_halted = ckpt->arch.halted;
-        ++local.restores;
     }
 
     // Warm pipeline state (and, without a fast-forward, caches and
@@ -270,37 +267,6 @@ runSampled(const Workload &workload, const SimConfig &cfg,
     return runGrid(ws, cs, p).front();
 }
 
-namespace {
-
-/**
- * Corpus probe used by the shared-checkpoint phase: a hit must be
- * CRC-clean (CheckpointStore::load enforces that) AND structurally
- * compatible with the grid's geometry — the key fingerprint should
- * guarantee compatibility, but a fingerprint collision or a tampered
- * entry must degrade to a rebuild, never into restoring tags of the
- * wrong shape. `bytes` accumulates corpus traffic either way.
- */
-bool
-corpusLoad(CheckpointStore *corpus, const CkptKey &key,
-           const SimConfig &cfg, SimSnapshot &out, std::uint64_t *bytes)
-{
-    if (!corpus)
-        return false;
-    std::uint64_t entry_bytes = 0;
-    if (!corpus->load(key, out, &entry_bytes))
-        return false;
-    if (!out.structurallyCompatible(cfg)) {
-        NDA_WARN("ckpt: corpus entry '%s' is structurally "
-                 "incompatible with the requested geometry — "
-                 "rebuilding", key.fileName().c_str());
-        return false;
-    }
-    *bytes += entry_bytes;
-    return true;
-}
-
-} // namespace
-
 std::vector<RunResult>
 runGrid(const std::vector<const Workload *> &workloads,
         const std::vector<SimConfig> &configs, const SampleParams &p,
@@ -353,33 +319,64 @@ runGrid(const std::vector<const Workload *> &workloads,
         // the numbers are identical for any pool schedule.
         std::vector<WarmingWork> warm(n_ckpts);
         std::vector<std::uint64_t> ff_insts(n_ckpts, 0);
-        std::vector<std::uint8_t> built(n_ckpts, 0);
+        std::vector<std::uint8_t> built(n_ckpts, 1);
         std::vector<std::uint64_t> corpus_bytes(n_ckpts, 0);
         const std::uint64_t geom_fp = geometryFingerprint(
             configs[0].memory, configs[0].core.predictor);
 
+        const auto key_of = [&](std::size_t task) {
+            const std::size_t sample = task % p.samples;
+            return CkptKey{workloads[task / p.samples]->name(),
+                           window_seed(sample), window_ff(sample),
+                           geom_fp};
+        };
+
+        // Probe the corpus before the pool runs, and publish the misses
+        // serially in task order: the LRU use stamps (and the
+        // evictions they pick) then ignore the pool's schedule. A
+        // hit must be CRC-clean (CheckpointStore::load) and also
+        // structurally compatible: the key's fingerprint should
+        // guarantee that, but a collision or a tampered entry must
+        // degrade to a rebuild, never restore tags of the wrong shape.
+        for (std::size_t task = 0; corpus && task < n_ckpts; ++task) {
+            const CkptKey key = key_of(task);
+            std::uint64_t bytes = 0;
+            if (!corpus->load(key, checkpoints[task], &bytes))
+                continue;
+            if (!checkpoints[task].structurallyCompatible(configs[0])) {
+                NDA_WARN("ckpt: corpus entry '%s' is structurally "
+                         "incompatible with the requested geometry — "
+                         "rebuilding", key.fileName().c_str());
+                continue;
+            }
+            built[task] = 0;
+            corpus_bytes[task] = bytes;
+        }
+
         // One loop over fast-forward chains: chained sampling runs W
         // chains of S links, independent sampling W*S chains of one
-        // link. Each link is a corpus hit, or else extends the
-        // previous link (builds from scratch for the first) and
-        // publishes the result.
+        // link. Each link the corpus did not hold extends the previous
+        // link (builds from scratch for the first). The chain that
+        // completes the oldest unpublished task publishes it and every
+        // completed task after it: a serial grid serializes each chain
+        // right after building it, not once every chain is in memory.
         const std::size_t links = p.chainSamples ? p.samples : 1;
         const std::size_t n_chains = n_ckpts / links;
+        std::mutex publish_mutex;
+        std::vector<std::uint8_t> complete(n_ckpts, 0);
+        std::size_t next_publish = 0;
         ThreadPool ff_pool(lanes(n_chains));
         ff_pool.parallelFor(n_chains, [&](std::size_t chain) {
             std::optional<Program> prog;
             const SimSnapshot *prev = nullptr;
             for (std::size_t link = 0; link < links; ++link) {
                 const std::size_t task = chain * links + link;
-                const std::size_t w = task / p.samples;
-                const std::size_t sample = task % p.samples;
-                const std::uint64_t target = window_ff(sample);
-                const CkptKey key{workloads[w]->name(),
-                                  window_seed(sample), target, geom_fp};
-                if (!corpusLoad(corpus, key, configs[0],
-                                checkpoints[task], &corpus_bytes[task])) {
+                if (built[task]) {
+                    const std::size_t sample = task % p.samples;
+                    const std::uint64_t target = window_ff(sample);
                     if (!prog)
-                        prog = workloads[w]->build(window_seed(sample));
+                        prog = workloads[task / p.samples]->build(
+                            window_seed(sample));
                     checkpoints[task] =
                         prev ? extendWarmCheckpoint(*prog, *prev, target,
                                                     nullptr, &warm[task])
@@ -389,21 +386,26 @@ runGrid(const std::vector<const Workload *> &workloads,
                                    nullptr, &warm[task]);
                     ff_insts[task] =
                         target - (prev ? prev->arch.instCount : 0);
-                    built[task] = 1;
-                    if (corpus)
-                        corpus_bytes[task] +=
-                            corpus->store(key, checkpoints[task]);
                 }
                 prev = &checkpoints[task];
+            }
+            if (!corpus)
+                return;
+            std::lock_guard<std::mutex> lock(publish_mutex);
+            std::fill_n(complete.begin() + chain * links, links, 1);
+            for (; next_publish < n_ckpts && complete[next_publish];
+                 ++next_publish) {
+                const std::size_t task = next_publish;
+                if (built[task])
+                    corpus_bytes[task] +=
+                        corpus->store(key_of(task), checkpoints[task]);
             }
         });
         if (stats) {
             for (std::size_t task = 0; task < n_ckpts; ++task) {
                 stats->ffRuns += built[task];
                 stats->ffInsts += ff_insts[task];
-                stats->warmITouches += warm[task].iTouches;
-                stats->warmDTouches += warm[task].dTouches;
-                stats->warmBpTrains += warm[task].bpTrains;
+                stats->warm += warm[task];
                 if (corpus) {
                     stats->ckptHits += built[task] ? 0 : 1;
                     stats->ckptMisses += built[task] ? 1 : 0;

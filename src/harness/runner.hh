@@ -17,8 +17,10 @@
  * functional work, and the functional prefix of a sample does not
  * depend on the profile being measured. The grid therefore
  * fast-forwards each (workload, sample) ONCE, snapshots the machine
- * (core/snapshot.hh), and restores that snapshot into every profile's
- * core — turning W×S×P functional prefixes into W×S. Profiles whose
+ * (core/snapshot.hh), and constructs every profile's core in that
+ * snapshot — turning W×S×P functional prefixes into W×S. The core
+ * takes the window's program and loads no memory image but the
+ * snapshot's. Profiles whose
  * cache/predictor geometry differs from the snapshot's fall back to a
  * per-window fast-forward, which is exactly what runWindow does
  * without a checkpoint; both paths build checkpoints with the same
@@ -47,6 +49,7 @@
 #include "core/core_config.hh"
 #include "core/perf_counters.hh"
 #include "harness/profiles.hh"
+#include "isa/interpreter.hh"
 #include "obs/hotspot_profiler.hh"
 #include "obs/scoped_timer.hh"
 #include "workloads/workload.hh"
@@ -141,14 +144,10 @@ inline constexpr std::size_t kHotspotTopN = 16;
 struct WindowWork {
     std::uint64_t ffInsts = 0;    ///< functional insts this window ran
     std::uint64_t ffRuns = 0;     ///< fast-forwards this window ran
-    std::uint64_t restores = 0;   ///< checkpoint restores
+    std::uint64_t restores = 0;   ///< windows started in a checkpoint
     std::uint64_t warmupInsts = 0;   ///< detailed warm-up insts
     std::uint64_t measuredInsts = 0; ///< detailed measured insts
-    // Functional-warming work of this window's own fast-forward (zero
-    // when a shared checkpoint was restored instead).
-    std::uint64_t warmITouches = 0;  ///< i-cache warming accesses
-    std::uint64_t warmDTouches = 0;  ///< d-cache warming accesses
-    std::uint64_t warmBpTrains = 0;  ///< predictor warming trainings
+    WarmingWork warm; ///< of this window's own fast-forward, if any
 };
 
 /**
@@ -164,11 +163,7 @@ struct GridStats {
     std::uint64_t detailedWarmupInsts = 0;
     std::uint64_t measuredInsts = 0;
     std::uint64_t windows = 0;
-    // Functional-warming cost drivers of the fast-forward phase
-    // (Interpreter::WarmingWork aggregated across all builds).
-    std::uint64_t warmITouches = 0;
-    std::uint64_t warmDTouches = 0;
-    std::uint64_t warmBpTrains = 0;
+    WarmingWork warm; ///< of every fast-forward of the sweep
     // Checkpoint-corpus traffic of the fast-forward phase (all zero
     // when no CheckpointStore was passed to runGrid).
     std::uint64_t ckptHits = 0;      ///< checkpoints loaded from the corpus
@@ -201,9 +196,11 @@ struct RunResult {
 };
 
 /**
- * Run one sample window: fast-forward (or restore `ckpt` when given
- * and structurally compatible with `cfg`), detailed warm-up, measured
- * window. `work`, if set, receives this window's harness-side cost.
+ * Run one sample window: construct the core in `ckpt` when given and
+ * structurally compatible with `cfg`, else in this window's own
+ * fast-forward, else (no fast-forward) at the program's cold start;
+ * then detailed warm-up and measured window. `work`, if set, receives
+ * this window's harness-side cost.
  * Throws std::runtime_error naming the workload when the program
  * halts (or the core stops committing) before the window ends.
  */
@@ -240,7 +237,9 @@ RunResult runSampled(const Workload &workload, const SimConfig &cfg,
  * first — a CRC-clean, structurally-compatible hit skips that
  * fast-forward entirely; misses build (in chained mode, by extending
  * the previous checkpoint of the chain) and publish the result for
- * every later run sharing the directory. Results are bit-identical
+ * every later run sharing the directory. Lookups and publications run
+ * serially in task order, so the corpus index does not depend on the
+ * pool's schedule. Results are bit-identical
  * with or without a corpus, warm or cold: deserialization is exact
  * (`SimSnapshot::operator==`), so a loaded checkpoint is
  * indistinguishable from a rebuilt one.

@@ -174,19 +174,23 @@ evalNextPc(const MicroOp &uop, Addr pc, RegVal a, RegVal b)
     return static_cast<Addr>(uop.imm); // direct jmp / call
 }
 
-void
-loadDataSegments(const Program &prog, MemoryMap &mem)
-{
-    for (const DataSegment &seg : prog.data) {
-        mem.writeBytes(seg.base, seg.bytes.data(), seg.bytes.size());
-        mem.setPerm(seg.base, seg.bytes.size(), seg.perm);
-    }
-}
-
 Interpreter::Interpreter(Program prog)
     : prog_(std::move(prog)), pre_(prog_)
 {
     st_.reset(prog_);
+}
+
+Interpreter::Interpreter(Program prog, const ArchState &start)
+    : prog_(std::move(prog)), pre_(prog_), st_(start)
+{
+}
+
+void
+Interpreter::attachDift(TaintEngine *engine)
+{
+    dift_ = engine;
+    if (dift_)
+        st_.applyTaint(*dift_);
 }
 
 ArchState

@@ -83,8 +83,10 @@ enum class StepResult : std::uint8_t {
 class Interpreter
 {
   public:
-    /** The interpreter keeps its own copy of `prog`. */
+    /** Start at the program's cold start (ArchState::reset), or in
+     *  `start`. The interpreter keeps its own copy of `prog`. */
     explicit Interpreter(Program prog);
+    Interpreter(Program prog, const ArchState &start);
 
     /**
      * Execute one instruction through the switch-dispatched slow
@@ -136,8 +138,10 @@ class Interpreter
      * Attach the DIFT oracle (dift/taint_engine.hh): taint then
      * propagates architecturally with every step. The interpreter is
      * the reference propagation model the cores must agree with.
+     * Attach before running: the engine takes the taint the start
+     * state carries (ArchState::applyTaint; none for a cold start).
      */
-    void attachDift(TaintEngine *engine) { dift_ = engine; }
+    void attachDift(TaintEngine *engine);
 
     /**
      * Attach functional-warming targets (either may be null): every
@@ -154,9 +158,6 @@ class Interpreter
         warmHier_ = hier;
         warmBp_ = bp;
     }
-
-    /** Direct access to the complete architectural state. */
-    const ArchState &state() const { return st_; }
 
     /** Functional-warming work performed so far (lifetime totals). */
     const WarmingWork &warmingWork() const { return warmWork_; }
@@ -190,9 +191,6 @@ class Interpreter
     MemHierarchy *warmHier_ = nullptr;  ///< functional cache warming
     PredictorUnit *warmBp_ = nullptr;   ///< functional predictor warming
 };
-
-/** Initialize a MemoryMap from a program's data segments. */
-void loadDataSegments(const Program &prog, MemoryMap &mem);
 
 } // namespace nda
 

@@ -1,6 +1,7 @@
 #include "mem/memory_map.hh"
 
 #include <algorithm>
+#include <cstring>
 
 namespace nda {
 
@@ -55,19 +56,23 @@ MemoryMap::write(Addr addr, RegVal value, unsigned size)
 void
 MemoryMap::writeBytes(Addr addr, const std::uint8_t *bytes, std::size_t len)
 {
-    for (std::size_t i = 0; i < len; ++i) {
-        const Addr a = addr + i;
-        pageFor(a).bytes[a & (kPageBytes - 1)] = bytes[i];
+    for (std::size_t n = 0; len > 0; addr += n, bytes += n, len -= n) {
+        const Addr off = addr & (kPageBytes - 1);
+        n = std::min<std::size_t>(len, kPageBytes - off);
+        std::memcpy(pageFor(addr).bytes.data() + off, bytes, n);
     }
 }
 
 void
 MemoryMap::readBytes(Addr addr, std::uint8_t *out, std::size_t len) const
 {
-    for (std::size_t i = 0; i < len; ++i) {
-        const Addr a = addr + i;
-        const Page *page = pageForConst(a);
-        out[i] = page ? page->bytes[a & (kPageBytes - 1)] : 0;
+    for (std::size_t n = 0; len > 0; addr += n, out += n, len -= n) {
+        const Addr off = addr & (kPageBytes - 1);
+        n = std::min<std::size_t>(len, kPageBytes - off);
+        if (const Page *page = pageForConst(addr))
+            std::memcpy(out, page->bytes.data() + off, n);
+        else
+            std::memset(out, 0, n);
     }
 }
 

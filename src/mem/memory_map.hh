@@ -31,10 +31,11 @@ class MemoryMap
     /** Write the low `size` bytes of `value`. */
     void write(Addr addr, RegVal value, unsigned size);
 
-    /** Bulk-initialize a span. */
+    /** Bulk-initialize a span, one page lookup per page touched. */
     void writeBytes(Addr addr, const std::uint8_t *bytes, std::size_t len);
 
-    /** Read a span into `out`; unmapped bytes are 0. */
+    /** Read a span into `out`, one page lookup per page touched;
+     *  unmapped bytes are 0 and no page is created. */
     void readBytes(Addr addr, std::uint8_t *out, std::size_t len) const;
 
     /** Set protection on all pages overlapping [addr, addr+len). */

@@ -15,6 +15,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -763,6 +765,32 @@ TEST(ChainedGrid, WarmCorpusIsBitIdenticalAndSkipsFastForwards)
         << "a warm corpus must eliminate every fast-forward";
     EXPECT_EQ(warm_stats.ffInsts, 0u);
     EXPECT_EQ(store.entryCount(), n_ckpts);
+}
+
+TEST(ChainedGrid, CorpusIndexDoesNotDependOnJobs)
+{
+    // The index's LRU use stamps follow the task order, not the
+    // pool's schedule: the same grids leave the same index bytes at
+    // any job count. The second grid mixes hits and misses.
+    const auto index_after = [](unsigned jobs, const char *name) {
+        ScratchDir dir(name);
+        CheckpointStore store(dir.str());
+        const std::vector<SimConfig> configs{makeProfile(Profile::kOoo)};
+        SampleParams sp = chainedParams();
+        sp.jobs = jobs;
+        std::vector<std::unique_ptr<Workload>> ws;
+        for (const char *w : {"crc", "stream"})
+            ws.push_back(makeWorkload(w));
+        runGrid(ws, configs, sp, nullptr, nullptr, &store);
+        ws.insert(ws.begin(), makeWorkload("compute"));
+        ws.push_back(makeWorkload("branchy"));
+        runGrid(ws, configs, sp, nullptr, nullptr, &store);
+        std::ifstream in(store.indexPath(), std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    const std::string serial = index_after(1, "ckpt_index_jobs1");
+    EXPECT_FALSE(serial.empty());
+    EXPECT_EQ(serial, index_after(8, "ckpt_index_jobs8"));
 }
 
 TEST(ChainedGrid, NonChainedCorpusAlsoHitsAcrossRuns)

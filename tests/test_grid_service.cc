@@ -177,6 +177,17 @@ TEST(GridService, RejectsBadRequestsWithErrorLinesAndSurvives)
         {R"({"seed":1e20})", "integer"},
         {R"({"seed":9007199254740993})", "integer"},
         {R"({"measure":-1})", "non-negative number"},
+        // Over the request budget: rejected before runGrid sizes its
+        // per-window slots.
+        {R"({"samples":4000000000,"workloads":["crc"],)"
+         R"("profiles":["OoO"],"warmup":1,"measure":1})",
+         "windows"},
+        {R"({"workloads":["crc"],"profiles":["OoO"],"samples":1,)"
+         R"("measure":9007199254740991})",
+         "instructions"},
+        {R"({"workloads":["crc"],"profiles":["OoO"],"samples":1000,)"
+         R"("fastforward":200000000,"measure":1})",
+         "instructions"},
     };
     for (const auto &c : cases) {
         Captured cap;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 #include "mem/memory_map.hh"
@@ -48,6 +50,33 @@ TEST(MemoryMap, BulkBytes)
     m.readBytes(0x7FFE, out, 5);
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(out[i], bytes[i]);
+
+    // An unaligned span over three pages: the last 3 bytes of one,
+    // all of the next, the first 5 of the third. With the middle page
+    // not resident, it reads as zeros and stays absent.
+    constexpr Addr kPage = MemoryMap::kPageBytes;
+    const Addr first = 0x10000 + kPage - 3;
+    const std::size_t len = 3 + kPage + 5;
+    std::vector<std::uint8_t> pattern(len);
+    for (std::size_t i = 0; i < len; ++i)
+        pattern[i] = static_cast<std::uint8_t>(i % 251 + 1);
+    m.writeBytes(first, pattern.data(), 3);
+    m.writeBytes(first + 3 + kPage, pattern.data() + 3 + kPage, 5);
+    const std::size_t pages = m.pageCount();
+    std::vector<std::uint8_t> span(len, 0xEE);
+    m.readBytes(first, span.data(), len);
+    EXPECT_EQ(m.pageCount(), pages) << "reading created a page";
+    for (std::size_t i = 0; i < len; ++i) {
+        const bool resident = i < 3 || i >= 3 + kPage;
+        ASSERT_EQ(span[i], resident ? pattern[i] : 0) << "byte " << i;
+    }
+
+    // Writing the whole span fills in the middle page.
+    m.writeBytes(first, pattern.data(), len);
+    EXPECT_EQ(m.pageCount(), pages + 1);
+    m.readBytes(first, span.data(), len);
+    EXPECT_EQ(span, pattern);
+    EXPECT_EQ(m.read(first + 3 + kPage - 1, 1), pattern[3 + kPage - 1]);
 }
 
 TEST(MemoryMap, PermissionsPerPage)

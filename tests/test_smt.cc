@@ -230,6 +230,12 @@ TEST(SmtCore, CheckpointRoundTripCarriesExtraThreads)
 
     OooCore resumed(p, smtConfig(2));
     resumed.restoreCheckpoint(snap);
+    // Constructed in the snapshot: the same machine.
+    OooCore started(p, smtConfig(2), &snap);
+    SimSnapshot a, b;
+    resumed.saveCheckpoint(a);
+    started.saveCheckpoint(b);
+    EXPECT_TRUE(a == b);
     resumed.run(~std::uint64_t{0}, 200'000);
     ASSERT_TRUE(resumed.halted());
     EXPECT_EQ(resumed.archRegOf(0, 1), 5050u);
@@ -254,10 +260,25 @@ TEST(SmtCore, SingleThreadSnapshotSeedsThreadZeroOfSmtCore)
 
     OooCore wide(p, smtConfig(2));
     wide.restoreCheckpoint(snap);
+    // Constructed in the snapshot: thread 1 takes its cold start
+    // there too, so the two machines are the same, before and after
+    // running.
+    OooCore started(p, smtConfig(2), &snap);
+    SimSnapshot a, b;
+    wide.saveCheckpoint(a);
+    started.saveCheckpoint(b);
+    ASSERT_EQ(b.extraThreads.size(), 1u);
+    EXPECT_EQ(b.extraThreads[0].pc, p.smtEntry);
+    EXPECT_TRUE(a == b);
     wide.run(~std::uint64_t{0}, 200'000);
     ASSERT_TRUE(wide.halted());
     EXPECT_EQ(wide.archRegOf(0, 1), 5050u);
     EXPECT_EQ(wide.archRegOf(1, 1), 1u << 20);
+    started.run(~std::uint64_t{0}, 200'000);
+    EXPECT_EQ(started.cycle(), wide.cycle());
+    wide.saveCheckpoint(a);
+    started.saveCheckpoint(b);
+    EXPECT_TRUE(a == b);
 }
 
 } // namespace

@@ -87,6 +87,24 @@ TEST(ArchStateSnapshot, InterpreterResumeIsBitExact)
         << "cache tags/LRU diverged after resume";
     EXPECT_TRUE(bp_c.save() == bp_a.save())
         << "predictor tables diverged after resume";
+
+    // A machine constructed in the snapshot, DIFT attached after: the
+    // engine still takes the snapshot's taint, and the run matches
+    // the cold-constructed, restored one.
+    TaintEngine dift_d(secrets);
+    Interpreter d(prog, mid);
+    MemHierarchy hier_d;
+    PredictorUnit bp_d;
+    hier_d.restore(mid_mem);
+    bp_d.restore(mid_bp);
+    d.attachWarming(&hier_d, &bp_d);
+    d.attachDift(&dift_d);
+    EXPECT_TRUE(d.save() == mid);
+    d.run(6'000);
+    EXPECT_TRUE(d.save() == c.save())
+        << "started-in-state interpreter diverged from cold + restore";
+    EXPECT_TRUE(hier_d.save() == hier_c.save());
+    EXPECT_TRUE(bp_d.save() == bp_c.save());
 }
 
 // --------------------------------------------------------------------------
@@ -112,9 +130,22 @@ TEST(ArchStateSnapshot, InOrderRestoreRoundTripsAndMatchesInterpreter)
     EXPECT_TRUE(resaved.arch == ckpt.arch);
     EXPECT_TRUE(resaved.mem == ckpt.mem);
 
+    // Constructed in the checkpoint: the same machine as cold
+    // construction followed by restoreCheckpoint.
+    auto started = makeCore(prog, cfg, &ckpt);
+    SimSnapshot started_snap;
+    started->saveCheckpoint(started_snap);
+    EXPECT_TRUE(started_snap == resaved);
+
     core->run(5'000, ~Cycle{0});
     ASSERT_FALSE(core->halted());
     EXPECT_EQ(core->committedInsts(), 13'000u);
+    started->run(5'000, ~Cycle{0});
+    EXPECT_EQ(started->cycle(), core->cycle());
+    SimSnapshot ran, started_ran;
+    core->saveCheckpoint(ran);
+    started->saveCheckpoint(started_ran);
+    EXPECT_TRUE(started_ran == ran);
 
     // NDA changes only timing: the restored timing core must land on
     // the interpreter's architectural state at the same inst count.
@@ -202,6 +233,20 @@ TEST(ArchStateSnapshot, OooRestoreDeterministicAndMatchesInterpreter)
     EXPECT_TRUE(s1.mem == s2.mem) << "cache state diverged";
     EXPECT_TRUE(s1.predictor == s2.predictor)
         << "predictor state diverged";
+
+    // A core constructed in the checkpoint is the same machine as one
+    // constructed cold and then restored, before and after running.
+    auto c3 = makeCore(prog, cfg, &ckpt);
+    auto c4 = makeCore(prog, cfg);
+    c4->restoreCheckpoint(ckpt);
+    SimSnapshot s3, s4;
+    c3->saveCheckpoint(s3);
+    c4->saveCheckpoint(s4);
+    EXPECT_TRUE(s3 == s4);
+    c3->run(4'000, ~Cycle{0});
+    EXPECT_EQ(c3->cycle(), c1->cycle());
+    c3->saveCheckpoint(s3);
+    EXPECT_TRUE(s3 == s1);
 
     // Committed register state agrees with the reference interpreter
     // at the same retirement count.
