@@ -93,7 +93,7 @@ main(int argc, char **argv)
             core->run(~std::uint64_t{0}, 40'000'000);
             AttackResult r;
             r.secret = 42;
-            r.threshold = atk.signalThreshold();
+            r.threshold = atk.spec().signalThreshold;
             AttackBase::recoverByTiming(*core, r);
             t.addRow({std::to_string(bits),
                       r.leaked() ? "LEAK" : "blocked"});

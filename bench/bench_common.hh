@@ -51,7 +51,7 @@ addLogFlags(FlagTable &t)
 inline void
 addSampleFlags(FlagTable &t, SampleParams &p, bool *quick = nullptr)
 {
-    p.jobs = ThreadPool::defaultConcurrency();
+    p.jobs = defaultConcurrency();
     t.flag("--quick", "1 sample, 10k warmup, 30k measured", [&p, quick] {
         p.samples = 1;
         p.warmupInsts = 10'000;
@@ -80,7 +80,7 @@ addSampleFlags(FlagTable &t, SampleParams &p, bool *quick = nullptr)
         "concurrent simulation windows (default, or 0: hardware\n"
         "threads; results are identical for any N)",
         [&p](unsigned n) {
-            p.jobs = n ? n : ThreadPool::defaultConcurrency();
+            p.jobs = n ? n : defaultConcurrency();
         });
     t.flag("--cpi-stack",
            "attach the causal CPI-stack profiler to every measured\n"

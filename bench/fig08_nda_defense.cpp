@@ -46,8 +46,8 @@ main(int argc, char **argv)
     const SimConfig cfg = makeProfile(Profile::kPermissive);
     const std::uint8_t secret = 42;
 
-    // The end-to-end attack simulations are independent; run them on
-    // the pool (each owns its core and memory). --smt=2 adds the two
+    // The end-to-end attack simulations are independent; run them in
+    // parallel (each owns its core and memory). --smt=2 adds the two
     // co-resident channels; the attacks themselves request the second
     // hardware context via adjustConfig.
     SpectreV1Cache cache_attack;
@@ -57,9 +57,7 @@ main(int argc, char **argv)
     const std::size_t n_attacks = co_resident ? 4 : 2;
     std::vector<AttackResult> r(n_attacks);
     ScopedTimer attack_timer(obs.timings, "attacks");
-    ThreadPool pool(std::min(static_cast<unsigned>(n_attacks),
-                             sp.jobs));
-    pool.parallelFor(n_attacks, [&](std::size_t i) {
+    parallelFor(sp.jobs, n_attacks, [&](std::size_t i) {
         AttackBase *attacks[] = {&cache_attack, &btb_attack,
                                  &port_attack, &mshr_attack};
         r[i] = attacks[i]->run(cfg, secret);

@@ -140,7 +140,7 @@ int
 main(int argc, char **argv)
 {
     FuzzParams params;
-    params.jobs = ThreadPool::defaultConcurrency();
+    params.jobs = defaultConcurrency();
     BenchObs obs;
     bool minimize = false;
     std::string corpus_dir = "tests/corpus";
@@ -175,7 +175,7 @@ main(int argc, char **argv)
         "parallel lanes (default, or 0: hardware threads;\n"
         "results are identical for any N)",
         [&params](unsigned n) {
-            params.jobs = n ? n : ThreadPool::defaultConcurrency();
+            params.jobs = n ? n : defaultConcurrency();
         });
     flags.choice<Profile>(
         "--profile", "NAME",

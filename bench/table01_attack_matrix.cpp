@@ -13,7 +13,7 @@
  * nonzero exit for CI.
  *
  * Cells are independent simulations, so the sweep fans out over the
- * shared ThreadPool (`--jobs=N`); each task constructs its own attack
+ * shared `parallelFor` (`--jobs=N`); each task constructs its own attack
  * instance and core, and writes into a pre-sized slot, keeping the
  * output bit-identical for any job count.
  */
@@ -74,10 +74,9 @@ main(int argc, char **argv)
         TablePrinter t({"attack", "class", "covert channel",
                         "description"});
         for (const auto &a : makeAllAttacks()) {
-            t.addRow({a->name(),
-                      a->isChosenCode() ? "chosen-code"
-                                        : "control-steering",
-                      a->channel(), a->description()});
+            const AttackSpec &s = a->spec();
+            t.addRow({s.name, accessClassName(s.taxonomy.trigger),
+                      leakChannelName(s.taxonomy.channel), s.description});
         }
         t.print();
     }
@@ -95,9 +94,9 @@ main(int argc, char **argv)
     };
     std::vector<std::string> attack_names;
     for (const auto &a : makeAllAttacks()) {
-        if (smt == 1 && a->crossThread())
+        if (smt == 1 && a->spec().crossThread)
             continue;
-        if (smt >= 2 && !a->crossThread())
+        if (smt >= 2 && !a->spec().crossThread)
             continue;
         attack_names.push_back(a->name());
     }
@@ -110,8 +109,7 @@ main(int argc, char **argv)
     // pre-sized result slots.
     std::atomic<std::size_t> done{0};
     ScopedTimer matrix_timer(obs.timings, "attack-matrix");
-    ThreadPool pool(params.jobs);
-    pool.parallelFor(cells, [&](std::size_t i) {
+    parallelFor(params.jobs, cells, [&](std::size_t i) {
         const std::size_t row = i / cols;
         const Profile p = profiles[i % cols];
         auto attack = makeAttack(attack_names[row]);
@@ -120,7 +118,7 @@ main(int argc, char **argv)
         CellResult &cell = results[i];
         cell.timingLeak = r.leaked();
         cell.oracleLeak = r.oracle.leaked();
-        cell.expectBlocked = attack->expectedBlocked(cfg.security);
+        cell.expectBlocked = blocks(cfg.security, attack->spec().taxonomy);
         gridProgress(++done, cells);
     });
     matrix_timer.stop();
@@ -158,8 +156,8 @@ main(int argc, char **argv)
                 "Expected pattern: NDA propagation blocks "
                 "control-steering;\n+BR adds SSB; strict adds GPR "
                 "secrets; load restriction blocks\nchosen-code; "
-                "InvisiSpec blocks only the d-cache channel (the\n"
-                "BTB attack defeats it).\n",
+                "InvisiSpec blocks only the d-cache and MSHR channels\n"
+                "(the BTB and port-contention attacks defeat it).\n",
                 mismatches);
     std::printf("Timing vs DIFT oracle: %d of %zu cells disagree.\n",
                 disagreements, cells);

@@ -6,8 +6,9 @@
  *
  *   ./build/examples/spectre_demo [attack] [profile-index] [secret]
  *
- * Attacks: spectre-v1-cache spectre-v1-btb spectre-v2 ret2spec
- *          spectre-v4-ssb spectre-gpr meltdown lazyfp-v3a
+ * Attacks: spectre-v1-cache spectre-v1-btb spectre-v1.1 spectre-v2
+ *          ret2spec spectre-v4-ssb spectre-gpr meltdown lazyfp-v3a
+ *          smother-port smt-mshr
  * Profiles: 0=OoO 1=Permissive 2=Permissive+BR 3=Strict 4=Strict+BR
  *           5=Restricted Loads 6=Full Protection 7=In-Order
  *           8=InvisiSpec-Spectre 9=InvisiSpec-Future
@@ -54,9 +55,8 @@ main(int argc, char **argv)
 
     std::printf("attack : %s (%s, %s channel)\n",
                 attack->name().c_str(),
-                attack->isChosenCode() ? "chosen-code"
-                                       : "control-steering",
-                attack->channel().c_str());
+                accessClassName(attack->spec().taxonomy.trigger),
+                leakChannelName(attack->spec().taxonomy.channel));
     std::printf("machine: %s\n", cfg.name.c_str());
     std::printf("secret : 0x%02X (%d)\n\n", secret, secret);
 

@@ -9,6 +9,59 @@
 
 namespace nda {
 
+const char *
+accessClassName(AttackClass::Trigger trigger)
+{
+    return trigger == AttackClass::Trigger::kChosenCode
+               ? "chosen-code"
+               : "control-steering";
+}
+
+bool
+blocks(const SecurityConfig &cfg, const AttackClass &c)
+{
+    using Trigger = AttackClass::Trigger;
+
+    // InvisiSpec hides a speculative load's cache fill and MSHR
+    // allocation (shadow loads peek the hierarchy), but it still
+    // forwards the value, so a BTB or port transmit goes through.
+    // IS-Spectre makes a load visible once older branches resolve,
+    // which covers only branch-triggered windows; IS-Future waits
+    // for the load to be non-speculative, which covers every window.
+    const bool invisible_load =
+        (c.channel == LeakChannel::kDCache ||
+         c.channel == LeakChannel::kMshrContention) &&
+        (cfg.invisiSpec == InvisiSpecMode::kFuture ||
+         (cfg.invisiSpec == InvisiSpecMode::kSpectre &&
+          c.trigger == Trigger::kBranch));
+
+    switch (c.trigger) {
+      case Trigger::kChosenCode:
+        // Without the flaw the faulting access forwards nothing.
+        // Propagation policies do not apply: no branch is unresolved.
+        // Load restriction keeps the faulting load's value from its
+        // dependents until it is the eldest, where it faults.
+        return !cfg.meltdownFlaw || cfg.loadRestriction || invisible_load;
+      case Trigger::kStoreBypass:
+        // No branch either; Bypass Restriction keeps the bypassing
+        // load unsafe until the bypassed stores resolve.
+        return cfg.bypassRestriction || cfg.loadRestriction ||
+               invisible_load;
+      case Trigger::kBranch:
+        // A secret already in a register needs no load under the
+        // branch: only strict propagation defers the non-load ops
+        // that pre-process and transmit it.
+        if (c.origin == AttackClass::Origin::kGpr)
+            return cfg.propagation == NdaPolicy::kStrict || invisible_load;
+        // A memory secret's load never wakes its dependents under any
+        // propagation policy, nor, off the ROB head, under load
+        // restriction: the transmit never runs, whatever the channel.
+        return cfg.propagation != NdaPolicy::kNone ||
+               cfg.loadRestriction || invisible_load;
+    }
+    return false;
+}
+
 void
 AttackBase::declareSecrets(SecretMap &secrets) const
 {
@@ -60,7 +113,7 @@ AttackBase::run(const SimConfig &cfg, std::uint8_t secret,
     AttackResult result;
     result.secret = secret;
     result.cycles = core->cycle();
-    result.threshold = signalThreshold();
+    result.threshold = spec_.signalThreshold;
     recoverByTiming(*core, result);
     result.oracle = dift.report();
     return result;

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/core_config.hh"
@@ -51,23 +52,43 @@ struct AttackResult {
     bool leaked() const { return signal > threshold; }
 };
 
-/** Base class of all attack PoCs. */
-class AttackBase
-{
-  public:
-    virtual ~AttackBase() = default;
+/**
+ * Where an attack sits in the paper's taxonomy (Table 1): what starts
+ * its transient window, where its secret lives, and which structure
+ * its transmit changes (named as the DIFT oracle names it).
+ */
+struct AttackClass {
+    enum class Trigger : std::uint8_t {
+        kBranch,       ///< control-steering: a mispredicted branch
+        kStoreBypass,  ///< control-steering: a load bypasses a store
+        kChosenCode,   ///< attacker code exploiting a hardware flaw
+    };
+    enum class Origin : std::uint8_t {
+        kMemory,
+        kGpr,          ///< already in a general-purpose register
+        kSpecialReg,   ///< a privileged special register (MSR)
+    };
 
-    virtual std::string name() const = 0;
+    Trigger trigger = Trigger::kBranch;
+    Origin origin = Origin::kMemory;
+    LeakChannel channel = LeakChannel::kDCache;
+};
 
+/** "control-steering" or "chosen-code" (the paper's two classes). */
+const char *accessClassName(AttackClass::Trigger trigger);
+
+/**
+ * Paper Table 2, stated once: does security configuration `cfg`
+ * block every attack of class `c`?
+ */
+bool blocks(const SecurityConfig &cfg, const AttackClass &c);
+
+/** Everything fixed about one attack PoC. */
+struct AttackSpec {
+    std::string name;
     /** Short description for Table 1 / docs. */
-    virtual std::string description() const = 0;
-
-    /** Control-steering or chosen-code (paper's taxonomy). */
-    virtual bool isChosenCode() const = 0;
-
-    /** Covert channel used ("d-cache", "btb", "port-contention", ...). */
-    virtual std::string channel() const = 0;
-
+    std::string description;
+    AttackClass taxonomy;
     /**
      * Does this attack require a co-resident SMT attacker thread?
      * Cross-thread attacks force `smtThreads = 2` in adjustConfig and
@@ -75,16 +96,26 @@ class AttackBase
      * unprotected attacker on thread 1); `table01_attack_matrix
      * --smt=2` restricts its matrix to these rows.
      */
-    virtual bool crossThread() const { return false; }
+    bool crossThread = false;
+    /** Minimum timing signal (cycles) considered a leak. */
+    double signalThreshold = 30.0;
+};
+
+/** Base class of all attack PoCs. */
+class AttackBase
+{
+  public:
+    explicit AttackBase(AttackSpec spec) : spec_(std::move(spec)) {}
+    virtual ~AttackBase() = default;
+
+    const AttackSpec &spec() const { return spec_; }
+    const std::string &name() const { return spec_.name; }
 
     /** Build the PoC program with `secret` planted. */
     virtual Program build(std::uint8_t secret) const = 0;
 
     /** Attack-specific config tweaks (e.g., smaller BTB tags). */
     virtual void adjustConfig(SimConfig &cfg) const { (void)cfg; }
-
-    /** Minimum timing signal (cycles) considered a leak. */
-    virtual double signalThreshold() const { return 30.0; }
 
     /**
      * Declare this attack's secrets to the DIFT leakage oracle. The
@@ -93,12 +124,6 @@ class AttackBase
      * home (stale store slot, kernel page, MSR) override this.
      */
     virtual void declareSecrets(SecretMap &secrets) const;
-
-    /**
-     * Does the paper's Table 2 say this security configuration blocks
-     * this attack? Used by the security test suite.
-     */
-    virtual bool expectedBlocked(const SecurityConfig &cfg) const = 0;
 
     /** Build, run (up to `max_cycles`), and evaluate the attack. */
     AttackResult run(const SimConfig &cfg, std::uint8_t secret,
@@ -112,6 +137,15 @@ class AttackBase
      */
     static void recoverByTiming(const CoreBase &core,
                                 AttackResult &result);
+
+  protected:
+    /** Short names for the spec each subclass hands the constructor. */
+    using Trigger = AttackClass::Trigger;
+    using Origin = AttackClass::Origin;
+    using Channel = LeakChannel;
+
+  private:
+    AttackSpec spec_;
 };
 
 } // namespace nda

@@ -5,6 +5,7 @@
  *  Control-steering attacks (access phase steers victim control flow):
  *   - SpectreV1Cache : bounds-check bypass, d-cache channel (Listing 1)
  *   - SpectreV1Btb   : bounds-check bypass, BTB channel (Listing 3)
+ *   - SpectreV11     : speculative buffer overflow (Spectre v1.1)
  *   - SpectreV2      : indirect-branch target injection (BTB aliasing)
  *   - Ret2Spec       : return-address mis-steering via the RAS
  *   - SpectreSsb     : Spectre v4, speculative store bypass
@@ -17,6 +18,9 @@
  *  Cross-thread attacks (co-resident SMT attacker, per-thread NDA):
  *   - SmotherPort    : SMoTherSpectre-style execution-port contention
  *   - MshrContention : shared-MSHR occupancy back-pressure timing
+ *
+ * Each class hands AttackBase its AttackSpec record; which profiles
+ * block it follows from the record's AttackClass via blocks().
  */
 
 #ifndef NDASIM_ATTACKS_ATTACKS_HH
@@ -29,180 +33,148 @@ namespace nda {
 class SpectreV1Cache : public AttackBase
 {
   public:
-    std::string name() const override { return "spectre-v1-cache"; }
-    std::string description() const override
-    {
-        return "bounds check bypass, d-cache covert channel";
-    }
-    bool isChosenCode() const override { return false; }
-    std::string channel() const override { return "d-cache"; }
+    SpectreV1Cache()
+        : AttackBase({"spectre-v1-cache",
+                      "bounds check bypass, d-cache covert channel",
+                      {Trigger::kBranch, Origin::kMemory, Channel::kDCache}})
+    {}
     Program build(std::uint8_t secret) const override;
-    bool expectedBlocked(const SecurityConfig &cfg) const override;
 };
 
 class SpectreV1Btb : public AttackBase
 {
   public:
-    std::string name() const override { return "spectre-v1-btb"; }
-    std::string description() const override
-    {
-        return "bounds check bypass, BTB covert channel (paper SS3)";
-    }
-    bool isChosenCode() const override { return false; }
-    std::string channel() const override { return "btb"; }
-    double signalThreshold() const override { return 5.0; }
+    SpectreV1Btb()
+        : AttackBase({"spectre-v1-btb",
+                      "bounds check bypass, BTB covert channel (paper SS3)",
+                      {Trigger::kBranch, Origin::kMemory, Channel::kBtb},
+                      /*crossThread=*/false, /*signalThreshold=*/5.0})
+    {}
     Program build(std::uint8_t secret) const override;
-    bool expectedBlocked(const SecurityConfig &cfg) const override;
 };
 
 class SpectreV11 : public AttackBase
 {
   public:
-    std::string name() const override { return "spectre-v1.1"; }
-    std::string description() const override
-    {
-        return "speculative buffer overflow steers via SQ forwarding";
-    }
-    bool isChosenCode() const override { return false; }
-    std::string channel() const override { return "d-cache"; }
+    SpectreV11()
+        : AttackBase({"spectre-v1.1",
+                      "speculative buffer overflow steers via SQ forwarding",
+                      {Trigger::kBranch, Origin::kMemory, Channel::kDCache}})
+    {}
     Program build(std::uint8_t secret) const override;
-    bool expectedBlocked(const SecurityConfig &cfg) const override;
 };
 
 class SpectreV2 : public AttackBase
 {
   public:
-    std::string name() const override { return "spectre-v2"; }
-    std::string description() const override
-    {
-        return "indirect branch target injection via BTB aliasing";
-    }
-    bool isChosenCode() const override { return false; }
-    std::string channel() const override { return "d-cache"; }
+    SpectreV2()
+        : AttackBase({"spectre-v2",
+                      "indirect branch target injection via BTB aliasing",
+                      {Trigger::kBranch, Origin::kMemory, Channel::kDCache}})
+    {}
     Program build(std::uint8_t secret) const override;
     void adjustConfig(SimConfig &cfg) const override;
-    bool expectedBlocked(const SecurityConfig &cfg) const override;
 };
 
 class Ret2Spec : public AttackBase
 {
   public:
-    std::string name() const override { return "ret2spec"; }
-    std::string description() const override
-    {
-        return "return-address mis-steering via RAS";
-    }
-    bool isChosenCode() const override { return false; }
-    std::string channel() const override { return "d-cache"; }
+    Ret2Spec()
+        : AttackBase({"ret2spec",
+                      "return-address mis-steering via RAS",
+                      {Trigger::kBranch, Origin::kMemory, Channel::kDCache}})
+    {}
     Program build(std::uint8_t secret) const override;
-    bool expectedBlocked(const SecurityConfig &cfg) const override;
 };
 
 class SpectreSsb : public AttackBase
 {
   public:
-    std::string name() const override { return "spectre-v4-ssb"; }
-    std::string description() const override
-    {
-        return "speculative store bypass reads stale secret";
-    }
-    bool isChosenCode() const override { return false; }
-    std::string channel() const override { return "d-cache"; }
+    SpectreSsb()
+        : AttackBase({"spectre-v4-ssb",
+                      "speculative store bypass reads stale secret",
+                      {Trigger::kStoreBypass, Origin::kMemory,
+                       Channel::kDCache}})
+    {}
     Program build(std::uint8_t secret) const override;
     void declareSecrets(SecretMap &secrets) const override;
-    bool expectedBlocked(const SecurityConfig &cfg) const override;
 };
 
 class SpectreGpr : public AttackBase
 {
   public:
-    std::string name() const override { return "spectre-gpr"; }
-    std::string description() const override
-    {
-        return "leak of a GPR-resident secret (paper SS4.2)";
-    }
-    bool isChosenCode() const override { return false; }
-    std::string channel() const override { return "d-cache"; }
+    SpectreGpr()
+        : AttackBase({"spectre-gpr",
+                      "leak of a GPR-resident secret (paper SS4.2)",
+                      {Trigger::kBranch, Origin::kGpr, Channel::kDCache}})
+    {}
     Program build(std::uint8_t secret) const override;
-    bool expectedBlocked(const SecurityConfig &cfg) const override;
 };
 
 class Meltdown : public AttackBase
 {
   public:
-    std::string name() const override { return "meltdown"; }
-    std::string description() const override
-    {
-        return "user-mode read of kernel memory (Listing 2)";
-    }
-    bool isChosenCode() const override { return true; }
-    std::string channel() const override { return "d-cache"; }
+    Meltdown()
+        : AttackBase({"meltdown",
+                      "user-mode read of kernel memory (Listing 2)",
+                      {Trigger::kChosenCode, Origin::kMemory,
+                       Channel::kDCache}})
+    {}
     Program build(std::uint8_t secret) const override;
     void declareSecrets(SecretMap &secrets) const override;
-    bool expectedBlocked(const SecurityConfig &cfg) const override;
 };
 
 /**
  * SMoTherSpectre-style cross-thread attack: the victim's wrong path
  * executes a secret-bit-keyed burst of multiplies; a co-resident SMT
  * attacker times its own multiply chain through the shared (single)
- * mul/div issue port. The channel needs no cache mutation at all, so
- * InvisiSpec does not block it — NDA's propagation policies do,
- * because the burst's operands never wake up.
+ * mul/div issue port, with no cache mutation at all.
  */
 class SmotherPort : public AttackBase
 {
   public:
-    std::string name() const override { return "smother-port"; }
-    std::string description() const override
-    {
-        return "cross-thread SMT execution-port contention timing";
-    }
-    bool isChosenCode() const override { return false; }
-    std::string channel() const override { return "port-contention"; }
-    bool crossThread() const override { return true; }
+    SmotherPort()
+        : AttackBase({"smother-port",
+                      "cross-thread SMT execution-port contention timing",
+                      {Trigger::kBranch, Origin::kMemory,
+                       Channel::kPortContention},
+                      /*crossThread=*/true})
+    {}
     Program build(std::uint8_t secret) const override;
     void adjustConfig(SimConfig &cfg) const override;
-    bool expectedBlocked(const SecurityConfig &cfg) const override;
 };
 
 /**
  * Cross-thread MSHR-occupancy attack: the victim's wrong path fires a
  * secret-bit-keyed burst of fresh-line loads that saturates the
  * shared L1D MSHR file; the co-resident attacker times its own miss,
- * which gets structurally rejected while the file is full. InvisiSpec
- * *does* block this one (shadow loads peek without allocating an
- * MSHR), as do NDA's propagation policies and load restriction.
+ * which gets structurally rejected while the file is full.
  */
 class MshrContention : public AttackBase
 {
   public:
-    std::string name() const override { return "smt-mshr"; }
-    std::string description() const override
-    {
-        return "cross-thread shared-MSHR occupancy back-pressure";
-    }
-    bool isChosenCode() const override { return false; }
-    std::string channel() const override { return "mshr-contention"; }
-    bool crossThread() const override { return true; }
+    MshrContention()
+        : AttackBase({"smt-mshr",
+                      "cross-thread shared-MSHR occupancy back-pressure",
+                      {Trigger::kBranch, Origin::kMemory,
+                       Channel::kMshrContention},
+                      /*crossThread=*/true})
+    {}
     Program build(std::uint8_t secret) const override;
     void adjustConfig(SimConfig &cfg) const override;
-    bool expectedBlocked(const SecurityConfig &cfg) const override;
 };
 
 class LazyFp : public AttackBase
 {
   public:
-    std::string name() const override { return "lazyfp-v3a"; }
-    std::string description() const override
-    {
-        return "privileged special-register read (LazyFP / v3a)";
-    }
-    bool isChosenCode() const override { return true; }
-    std::string channel() const override { return "d-cache"; }
+    LazyFp()
+        : AttackBase({"lazyfp-v3a",
+                      "privileged special-register read (LazyFP / v3a)",
+                      {Trigger::kChosenCode, Origin::kSpecialReg,
+                       Channel::kDCache}})
+    {}
     Program build(std::uint8_t secret) const override;
     void declareSecrets(SecretMap &secrets) const override;
-    bool expectedBlocked(const SecurityConfig &cfg) const override;
 };
 
 } // namespace nda

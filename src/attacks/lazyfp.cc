@@ -50,13 +50,4 @@ LazyFp::declareSecrets(SecretMap &secrets) const
     secrets.addMsr(kSecretMsr, "privileged-msr");
 }
 
-bool
-LazyFp::expectedBlocked(const SecurityConfig &cfg) const
-{
-    if (!cfg.meltdownFlaw)
-        return true;
-    return cfg.loadRestriction ||
-           cfg.invisiSpec == InvisiSpecMode::kFuture;
-}
-
 } // namespace nda

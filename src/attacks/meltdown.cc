@@ -52,15 +52,4 @@ Meltdown::declareSecrets(SecretMap &secrets) const
     secrets.addMemRange(kKernelSecret, 1, "kernel-page");
 }
 
-bool
-Meltdown::expectedBlocked(const SecurityConfig &cfg) const
-{
-    if (!cfg.meltdownFlaw)
-        return true; // fixed hardware: nothing to leak
-    // Only load restriction (rows 5-6) and InvisiSpec-Future block
-    // chosen-code attacks; propagation policies don't (Table 2).
-    return cfg.loadRestriction ||
-           cfg.invisiSpec == InvisiSpecMode::kFuture;
-}
-
 } // namespace nda

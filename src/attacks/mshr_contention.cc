@@ -100,15 +100,4 @@ MshrContention::adjustConfig(SimConfig &cfg) const
     cfg.security1 = SecurityConfig{};
 }
 
-bool
-MshrContention::expectedBlocked(const SecurityConfig &cfg) const
-{
-    // Propagation and load restriction stop the burst addresses from
-    // ever waking; InvisiSpec's shadow loads peek without allocating
-    // an MSHR entry, so it blocks this channel too (unlike the
-    // port-contention attack).
-    return cfg.propagation != NdaPolicy::kNone || cfg.loadRestriction ||
-           cfg.invisiSpec != InvisiSpecMode::kOff;
-}
-
 } // namespace nda

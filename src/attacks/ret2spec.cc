@@ -61,11 +61,4 @@ Ret2Spec::build(std::uint8_t secret) const
     return b.build();
 }
 
-bool
-Ret2Spec::expectedBlocked(const SecurityConfig &cfg) const
-{
-    return cfg.propagation != NdaPolicy::kNone || cfg.loadRestriction ||
-           cfg.invisiSpec != InvisiSpecMode::kOff;
-}
-
 } // namespace nda

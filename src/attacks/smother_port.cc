@@ -78,15 +78,4 @@ SmotherPort::adjustConfig(SimConfig &cfg) const
     cfg.security1 = SecurityConfig{};
 }
 
-bool
-SmotherPort::expectedBlocked(const SecurityConfig &cfg) const
-{
-    // Any propagation policy (the burst's operands never wake) and
-    // load restriction (the secret load never broadcasts off-head)
-    // block the channel. InvisiSpec does NOT: it hides cache side
-    // effects but still forwards the shadow load's value, so the
-    // burst executes and the port contention is observable.
-    return cfg.propagation != NdaPolicy::kNone || cfg.loadRestriction;
-}
-
 } // namespace nda

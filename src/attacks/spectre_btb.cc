@@ -127,12 +127,4 @@ SpectreV1Btb::build(std::uint8_t secret) const
     return b.build();
 }
 
-bool
-SpectreV1Btb::expectedBlocked(const SecurityConfig &cfg) const
-{
-    // NDA blocks it at the source (any policy); InvisiSpec only hides
-    // the d-cache, so the BTB channel still leaks (paper Table 2).
-    return cfg.propagation != NdaPolicy::kNone || cfg.loadRestriction;
-}
-
 } // namespace nda

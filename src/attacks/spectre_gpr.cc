@@ -70,14 +70,4 @@ SpectreGpr::build(std::uint8_t secret) const
     return b.build();
 }
 
-bool
-SpectreGpr::expectedBlocked(const SecurityConfig &cfg) const
-{
-    // Permissive propagation and load restriction do NOT protect
-    // GPR-resident secrets (Table 2 rows 1-2, 5); strict propagation
-    // does (rows 3-4, 6). InvisiSpec blocks the d-cache transmission.
-    return cfg.propagation == NdaPolicy::kStrict ||
-           cfg.invisiSpec != InvisiSpecMode::kOff;
-}
-
 } // namespace nda

@@ -75,14 +75,4 @@ SpectreV1Cache::build(std::uint8_t secret) const
     return b.build();
 }
 
-bool
-SpectreV1Cache::expectedBlocked(const SecurityConfig &cfg) const
-{
-    // Any NDA propagation policy blocks control-steering memory leaks
-    // (Table 2 rows 1-4); so does load restriction (row 5) and both
-    // InvisiSpec variants (d-cache channel).
-    return cfg.propagation != NdaPolicy::kNone || cfg.loadRestriction ||
-           cfg.invisiSpec != InvisiSpecMode::kOff;
-}
-
 } // namespace nda

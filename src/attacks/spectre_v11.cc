@@ -91,13 +91,4 @@ SpectreV11::build(std::uint8_t secret) const
     return b.build();
 }
 
-bool
-SpectreV11::expectedBlocked(const SecurityConfig &cfg) const
-{
-    // Control-steering attack on a memory secret with a d-cache
-    // transmit: the same coverage row as Spectre v1 (Table 2).
-    return cfg.propagation != NdaPolicy::kNone || cfg.loadRestriction ||
-           cfg.invisiSpec != InvisiSpecMode::kOff;
-}
-
 } // namespace nda

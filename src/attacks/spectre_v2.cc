@@ -114,11 +114,4 @@ SpectreV2::build(std::uint8_t secret) const
     return b.build();
 }
 
-bool
-SpectreV2::expectedBlocked(const SecurityConfig &cfg) const
-{
-    return cfg.propagation != NdaPolicy::kNone || cfg.loadRestriction ||
-           cfg.invisiSpec != InvisiSpecMode::kOff;
-}
-
 } // namespace nda

@@ -62,13 +62,4 @@ SpectreSsb::declareSecrets(SecretMap &secrets) const
     secrets.addMemRange(kStaleAddr, 1, "stale-store-slot");
 }
 
-bool
-SpectreSsb::expectedBlocked(const SecurityConfig &cfg) const
-{
-    // Plain propagation policies do NOT block SSB (Table 2 rows 1, 3);
-    // Bypass Restriction, load restriction, or InvisiSpec-Future do.
-    return cfg.bypassRestriction || cfg.loadRestriction ||
-           cfg.invisiSpec == InvisiSpecMode::kFuture;
-}
-
 } // namespace nda

@@ -355,8 +355,7 @@ runFuzz(const FuzzParams &p,
 
     std::mutex progress_mutex;
     std::size_t done = 0;
-    ThreadPool pool(p.jobs == 0 ? 1 : p.jobs);
-    pool.parallelFor(n, [&](std::size_t i) {
+    parallelFor(p.jobs, n, [&](std::size_t i) {
         const std::uint64_t seed = p.seed0 + i;
         const Program prog =
             generateRandomProgram(seed, paramsForSeed(seed));

@@ -15,7 +15,7 @@
  *  3. the per-cycle InvariantChecker must stay silent on the OoO
  *     pipeline for the entire run.
  *
- * Seeds fan out over the shared ThreadPool; each seed's verdict is
+ * Seeds fan out over the shared `parallelFor`; each seed's verdict is
  * written into its own slot and reduced in seed order, so the result
  * (including the fingerprint) is bit-identical for any --jobs value.
  */

@@ -397,7 +397,7 @@ GridService::handleRequest(const std::string &request_line,
         p.baseSeed = uintField(req, "seed", p.baseSeed);
         p.jobs = uintField(req, "jobs", 0u);
         if (p.jobs == 0)
-            p.jobs = ThreadPool::defaultConcurrency();
+            p.jobs = defaultConcurrency();
         p.chainSamples = boolField(req, "chain", false);
         p.cpiStack = boolField(req, "cpi_stack", false);
         if (const std::string why = p.problem(); !why.empty())

@@ -2,8 +2,8 @@
  * @file
  * Long-running grid service: the request/response core of
  * bench/grid_server. One JSON request line describes a workload x
- * profile grid (sampling parameters included); the service runs it on
- * the shared thread pool and streams newline-delimited JSON back —
+ * profile grid (sampling parameters included); the service runs it
+ * with the shared `parallelFor` and streams newline-delimited JSON back —
  * progress lines while windows retire, one "cell" line per (workload,
  * profile) result, and a final "done" line carrying the harness
  * stats. Malformed requests produce a single "error" line and never

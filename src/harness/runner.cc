@@ -294,12 +294,6 @@ runGrid(const std::vector<const Workload *> &workloads,
                    ? p.baseSeed
                    : p.baseSeed + static_cast<std::uint64_t>(sample);
     };
-    // Worker lanes for a phase of `tasks` tasks: `jobs`, but never
-    // more lanes than tasks, so a huge `jobs` spawns no idle threads.
-    const auto lanes = [&p](std::size_t tasks) {
-        return static_cast<unsigned>(std::max<std::size_t>(
-            1, std::min<std::size_t>(p.jobs, tasks)));
-    };
 
     // Phase 1: one warming checkpoint per (workload, sample), built
     // with the first config's geometry and shared across profiles.
@@ -365,8 +359,7 @@ runGrid(const std::vector<const Workload *> &workloads,
         std::mutex publish_mutex;
         std::vector<std::uint8_t> complete(n_ckpts, 0);
         std::size_t next_publish = 0;
-        ThreadPool ff_pool(lanes(n_chains));
-        ff_pool.parallelFor(n_chains, [&](std::size_t chain) {
+        parallelFor(p.jobs, n_chains, [&](std::size_t chain) {
             std::optional<Program> prog;
             const SimSnapshot *prev = nullptr;
             for (std::size_t link = 0; link < links; ++link) {
@@ -424,8 +417,7 @@ runGrid(const std::vector<const Workload *> &workloads,
     std::size_t done = 0;
     {
         ScopedTimer t(timings, "detailed");
-        ThreadPool pool(lanes(total));
-        pool.parallelFor(total, [&](std::size_t task) {
+        parallelFor(p.jobs, total, [&](std::size_t task) {
             const std::size_t cell = task / p.samples;
             const std::size_t sample = task % p.samples;
             const std::size_t w = cell / configs.size();

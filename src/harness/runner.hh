@@ -73,7 +73,7 @@ struct SampleParams {
     std::uint64_t measureInsts = 100'000;
     unsigned samples = 3;       ///< independently-seeded runs
     std::uint64_t baseSeed = 1;
-    /** Concurrent simulation windows; 1 = fully serial (no pool). */
+    /** Concurrent simulation windows; 1 = fully serial (no threads). */
     unsigned jobs = 1;
     /**
      * SMARTS-proper chained sampling: instead of S independently-

@@ -29,28 +29,27 @@ MemoryMap::pageForConst(Addr addr) const
     return it == pages_.end() ? nullptr : &it->second;
 }
 
+// read/write go through the span copies (one page lookup per page
+// touched) and pack the bytes little-endian whatever the host order.
+
 RegVal
 MemoryMap::read(Addr addr, unsigned size) const
 {
+    std::uint8_t bytes[sizeof(RegVal)] = {};
+    readBytes(addr, bytes, size);
     RegVal value = 0;
-    for (unsigned i = 0; i < size; ++i) {
-        const Addr a = addr + i;
-        const Page *page = pageForConst(a);
-        const std::uint8_t byte =
-            page ? page->bytes[a & (kPageBytes - 1)] : 0;
-        value |= static_cast<RegVal>(byte) << (8 * i);
-    }
+    for (unsigned i = size; i-- > 0;)
+        value = value << 8 | bytes[i];
     return value;
 }
 
 void
 MemoryMap::write(Addr addr, RegVal value, unsigned size)
 {
-    for (unsigned i = 0; i < size; ++i) {
-        const Addr a = addr + i;
-        pageFor(a).bytes[a & (kPageBytes - 1)] =
-            static_cast<std::uint8_t>(value >> (8 * i));
-    }
+    std::uint8_t bytes[sizeof(RegVal)] = {};
+    for (unsigned i = 0; i < size; ++i)
+        bytes[i] = static_cast<std::uint8_t>(value >> (8 * i));
+    writeBytes(addr, bytes, size);
 }
 
 void

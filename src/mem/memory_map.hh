@@ -25,10 +25,11 @@ class MemoryMap
   public:
     static constexpr Addr kPageBytes = 4096;
 
-    /** Read `size` bytes, zero-extended; unmapped bytes read as 0. */
+    /** Read `size` (at most 8) bytes, little-endian and
+     *  zero-extended; unmapped bytes read as 0 and no page is created. */
     RegVal read(Addr addr, unsigned size) const;
 
-    /** Write the low `size` bytes of `value`. */
+    /** Write the low `size` (at most 8) bytes of `value`. */
     void write(Addr addr, RegVal value, unsigned size);
 
     /** Bulk-initialize a span, one page lookup per page touched. */

@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+
 #include "attacks/attack_registry.hh"
 #include "attacks/attacks.hh"
 #include "harness/profiles.hh"
@@ -48,7 +52,8 @@ TEST_P(AttackMatrixTest, OutcomeMatchesTable2)
 
     SimConfig cfg = makeProfile(profile);
     const AttackResult result = attack.run(cfg, 42);
-    const bool expect_blocked = attack.expectedBlocked(cfg.security);
+    const bool expect_blocked =
+        blocks(cfg.security, attack.spec().taxonomy);
 
     EXPECT_EQ(result.leaked(), !expect_blocked)
         << attack.name() << " on " << cfg.name << ": signal "
@@ -138,23 +143,100 @@ TEST(AttackSignals, MeltdownNeedsTheHardwareFlaw)
 
 TEST(AttackRegistry, NamesAndTaxonomy)
 {
+    using Trigger = AttackClass::Trigger;
     const auto attacks = makeAllAttacks();
     ASSERT_EQ(attacks.size(), 11u);
+    std::set<std::string> names;
     int chosen_code = 0;
     int cross_thread = 0;
     for (const auto &a : attacks) {
-        EXPECT_FALSE(a->name().empty());
-        EXPECT_FALSE(a->description().empty());
-        EXPECT_TRUE(a->channel() == "d-cache" || a->channel() == "btb" ||
-                    a->channel() == "port-contention" ||
-                    a->channel() == "mshr-contention");
-        chosen_code += a->isChosenCode();
-        cross_thread += a->crossThread();
+        const AttackSpec &s = a->spec();
+        EXPECT_FALSE(s.name.empty());
+        EXPECT_TRUE(names.insert(s.name).second) << "duplicate " << s.name;
+        EXPECT_FALSE(s.description.empty());
+        EXPECT_GT(s.signalThreshold, 0.0) << s.name;
+        chosen_code += s.taxonomy.trigger == Trigger::kChosenCode;
+        cross_thread += s.crossThread;
+        // Only a co-resident thread can time a port or a shared MSHR.
+        const bool smt_channel =
+            s.taxonomy.channel == LeakChannel::kPortContention ||
+            s.taxonomy.channel == LeakChannel::kMshrContention;
+        EXPECT_EQ(s.crossThread, smt_channel) << s.name;
     }
     EXPECT_EQ(chosen_code, 2) << "meltdown + lazyfp";
     EXPECT_EQ(cross_thread, 2) << "smother-port + smt-mshr";
     EXPECT_NE(makeAttack("spectre-v1-cache"), nullptr);
     EXPECT_EQ(makeAttack("no-such-attack"), nullptr);
+}
+
+TEST(AttackRegistry, BlocksMatchesTable2OnEveryConfig)
+{
+    // Character i is config i as decoded below: propagation (one line
+    // each), then bypass restriction, load restriction, InvisiSpec
+    // mode and the Meltdown flaw, innermost. '1' = blocked. Generated
+    // from the eleven per-attack rules that blocks() replaced.
+    const std::map<std::string, std::string> expected = {
+        {"spectre-v1-cache",
+         "001111111111001111111111"
+         "111111111111111111111111"
+         "111111111111111111111111"},
+        {"spectre-v1-btb",
+         "000000111111000000111111"
+         "111111111111111111111111"
+         "111111111111111111111111"},
+        {"spectre-v1.1",
+         "001111111111001111111111"
+         "111111111111111111111111"
+         "111111111111111111111111"},
+        {"spectre-v2",
+         "001111111111001111111111"
+         "111111111111111111111111"
+         "111111111111111111111111"},
+        {"ret2spec",
+         "001111111111001111111111"
+         "111111111111111111111111"
+         "111111111111111111111111"},
+        {"spectre-v4-ssb",
+         "000011111111111111111111"
+         "000011111111111111111111"
+         "000011111111111111111111"},
+        {"spectre-gpr",
+         "001111001111001111001111"
+         "001111001111001111001111"
+         "111111111111111111111111"},
+        {"meltdown",
+         "101011111111101011111111"
+         "101011111111101011111111"
+         "101011111111101011111111"},
+        {"lazyfp-v3a",
+         "101011111111101011111111"
+         "101011111111101011111111"
+         "101011111111101011111111"},
+        {"smother-port",
+         "000000111111000000111111"
+         "111111111111111111111111"
+         "111111111111111111111111"},
+        {"smt-mshr",
+         "001111111111001111111111"
+         "111111111111111111111111"
+         "111111111111111111111111"},
+    };
+    const auto attacks = makeAllAttacks();
+    ASSERT_EQ(attacks.size(), expected.size());
+    for (const auto &a : attacks) {
+        std::string got;
+        for (int i = 0; i < 72; ++i) {
+            SecurityConfig cfg;
+            cfg.propagation = static_cast<NdaPolicy>(i / 24);
+            cfg.bypassRestriction = i / 12 % 2;
+            cfg.loadRestriction = i / 6 % 2;
+            cfg.invisiSpec = static_cast<InvisiSpecMode>(i / 2 % 3);
+            cfg.meltdownFlaw = i % 2;
+            got += blocks(cfg, a->spec().taxonomy) ? '1' : '0';
+        }
+        ASSERT_EQ(expected.count(a->name()), 1u) << a->name();
+        EXPECT_EQ(got, expected.at(a->name())) << a->name();
+    }
 }
 
 TEST(AttackRegistry, InOrderTriviallyImmune)

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <vector>
 
 #include "mem/cache.hh"
@@ -39,6 +41,25 @@ TEST(MemoryMap, CrossPageAccess)
     m.write(boundary, 0xAABBCCDDEEFF0011ULL, 8);
     EXPECT_EQ(m.read(boundary, 8), 0xAABBCCDDEEFF0011ULL);
     EXPECT_EQ(m.pageCount(), 2u);
+
+    // Across a resident and an absent page: the absent half reads as
+    // zeros and the read creates no page.
+    constexpr Addr kPage = MemoryMap::kPageBytes;
+    const Addr tail = 3 * kPage - 4;
+    m.write(tail - 4, 0x1122334455667788ULL, 8);
+    const std::size_t pages = m.pageCount();
+    EXPECT_EQ(m.read(tail, 8), 0x11223344ULL);
+    EXPECT_EQ(m.pageCount(), pages);
+
+    // Across two absent pages: the write creates exactly those two.
+    const Addr fresh = 10 * kPage - 3;
+    m.write(fresh, 0x0102030405060708ULL, 8);
+    EXPECT_EQ(m.pageCount(), pages + 2);
+    EXPECT_EQ(m.read(fresh, 8), 0x0102030405060708ULL);
+    const std::vector<Addr> resident = m.residentPages();
+    EXPECT_EQ(std::count(resident.begin(), resident.end(), 9 * kPage), 1);
+    EXPECT_EQ(std::count(resident.begin(), resident.end(), 10 * kPage),
+              1);
 }
 
 TEST(MemoryMap, BulkBytes)

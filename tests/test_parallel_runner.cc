@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests of the parallel experiment harness: the thread pool's edge
+ * Tests of the parallel experiment harness: parallelFor's edge
  * cases, and the determinism contract — for a fixed seed, the sampled
  * runner and the grid sweep must produce bit-identical WindowStats
  * regardless of --jobs.
@@ -8,9 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <mutex>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <sys/resource.h>
@@ -30,19 +36,16 @@ namespace {
 
 TEST(ThreadPool, ZeroTasksIsANoop)
 {
-    ThreadPool pool(4);
     int calls = 0;
-    pool.parallelFor(0, [&](std::size_t) { ++calls; });
+    parallelFor(4, 0, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 0);
 }
 
 TEST(ThreadPool, SingleLaneRunsInline)
 {
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.concurrency(), 1u);
     const auto caller = std::this_thread::get_id();
     std::vector<std::size_t> order;
-    pool.parallelFor(5, [&](std::size_t i) {
+    parallelFor(1, 5, [&](std::size_t i) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
         order.push_back(i);
     });
@@ -51,55 +54,73 @@ TEST(ThreadPool, SingleLaneRunsInline)
 
 TEST(ThreadPool, MoreTasksThanWorkers)
 {
-    ThreadPool pool(3);
     constexpr std::size_t kTasks = 100;
     std::vector<std::atomic<int>> hits(kTasks);
-    pool.parallelFor(kTasks, [&](std::size_t i) { ++hits[i]; });
+    parallelFor(3, kTasks, [&](std::size_t i) { ++hits[i]; });
     for (std::size_t i = 0; i < kTasks; ++i)
         EXPECT_EQ(hits[i].load(), 1) << "task " << i;
 }
 
-TEST(ThreadPool, ReusableAcrossBatches)
+/** Threads of this process, from /proc/self/task (0 if unreadable). */
+std::size_t
+liveThreads()
 {
-    ThreadPool pool(4);
-    for (int round = 0; round < 10; ++round) {
-        std::atomic<std::size_t> sum{0};
-        pool.parallelFor(17, [&](std::size_t i) { sum += i; });
-        EXPECT_EQ(sum.load(), 17u * 16u / 2u);
+    std::error_code ec;
+    std::size_t n = 0;
+    for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+         !ec && it != end; it.increment(ec))
+        ++n;
+    return ec ? 0 : n;
+}
+
+TEST(ThreadPool, NoMoreLanesThanTasks)
+{
+    // Eight lanes asked for, two tasks: the tasks run on at most two
+    // distinct threads, and the call starts at most one thread.
+    const std::size_t before = liveThreads();
+    std::mutex mutex;
+    std::set<std::thread::id> ids;
+    std::size_t peak = 0;
+    parallelFor(8, 2, [&](std::size_t) {
+        std::lock_guard<std::mutex> lock(mutex);
+        ids.insert(std::this_thread::get_id());
+        peak = std::max(peak, liveThreads());
+    });
+    EXPECT_GE(ids.size(), 1u);
+    EXPECT_LE(ids.size(), 2u);
+    if (before > 0) {
+        EXPECT_LE(peak, before + 1);
     }
 }
 
 TEST(ThreadPool, ExceptionPropagatesToCaller)
 {
-    ThreadPool pool(4);
-    EXPECT_THROW(
-        pool.parallelFor(50,
-                         [&](std::size_t i) {
-                             if (i == 7)
-                                 throw std::runtime_error("boom");
-                         }),
-        std::runtime_error);
-    // The pool must still be usable after a failed batch.
+    EXPECT_THROW(parallelFor(4, 50,
+                             [&](std::size_t i) {
+                                 if (i == 7)
+                                     throw std::runtime_error("boom");
+                             }),
+                 std::runtime_error);
+    // A later call is unaffected by the failed one.
     std::atomic<int> ok{0};
-    pool.parallelFor(8, [&](std::size_t) { ++ok; });
+    parallelFor(4, 8, [&](std::size_t) { ++ok; });
     EXPECT_EQ(ok.load(), 8);
 }
 
 TEST(ThreadPool, ExceptionOnSerialPathToo)
 {
-    ThreadPool pool(1);
-    EXPECT_THROW(pool.parallelFor(
-                     3, [](std::size_t) { throw std::logic_error("x"); }),
-                 std::logic_error);
+    EXPECT_THROW(
+        parallelFor(1, 3, [](std::size_t) { throw std::logic_error("x"); }),
+        std::logic_error);
 }
 
 /**
- * Death-test child body: a 4096-lane pool under a 64-process limit.
- * Drops root first, because the kernel exempts root from
- * RLIMIT_NPROC. Exits 0 iff every task ran and the pool has fewer
- * lanes than asked for. The alarm turns a hang into a failure: a pool
- * that throws out of its constructor blocks destroying the condition
- * variable its started workers wait on.
+ * Death-test child body: 4096 lanes asked for under a 64-process
+ * limit. Drops root first, because the kernel exempts root from
+ * RLIMIT_NPROC. Each task takes a few milliseconds, so the lanes
+ * already started are still running when the next thread is asked
+ * for. Exits 0 iff every task ran. The alarm turns a hang into a
+ * failure.
  */
 [[noreturn]] void
 runPoolUnderProcessLimit()
@@ -111,21 +132,18 @@ runPoolUnderProcessLimit()
     const rlimit lim{64, 64};
     if (::setrlimit(RLIMIT_NPROC, &lim) != 0)
         std::_Exit(3);
-    bool ok = false;
-    {
-        ThreadPool pool(4096);
-        std::atomic<std::size_t> sum{0};
-        pool.parallelFor(1000, [&](std::size_t i) { sum += i; });
-        ok = sum.load() == 999u * 1000u / 2u &&
-             pool.concurrency() < 4096;
-    }
-    std::_Exit(ok ? 0 : 1);
+    std::atomic<std::size_t> sum{0};
+    parallelFor(4096, 1000, [&](std::size_t i) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        sum += i;
+    });
+    std::_Exit(sum.load() == 999u * 1000u / 2u ? 0 : 1);
 }
 
 TEST(ThreadPoolDeathTest, RunsWithTheLanesTheHostCanStart)
 {
-    // Asked for more lanes than the process may start threads, the
-    // pool warns and runs every task on the lanes it got.
+    // Asked for more lanes than the process may start threads,
+    // parallelFor warns and runs every task on the lanes it got.
     EXPECT_EXIT(runPoolUnderProcessLimit(), testing::ExitedWithCode(0),
                 "thread pool: started");
 }
