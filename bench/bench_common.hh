@@ -295,7 +295,8 @@ writeBenchFile(const std::string &path, const std::string &content)
 
 /**
  * Emit the requested observability artifacts by running one
- * *representative instrumented window*: a fresh core on `cfg` with
+ * *representative instrumented window*: a core on `cfg`, started
+ * after `sp.fastforwardInsts` of fast-forward as runWindow does, with
  * every component bound into a StatsRegistry and (if a trace was
  * requested) the PipeTrace retire hook attached. Bench binaries call
  * this once, after their main measurement, with the profile that best
@@ -321,7 +322,15 @@ emitBenchObs(BenchObs &obs, const char *bench, const SimConfig &cfg,
 
     const std::unique_ptr<Workload> workload = makeWorkload("mixed");
     const Program prog = workload->build(sp.baseSeed);
-    const auto core = makeCore(prog, cfg);
+    // The window starts where runWindow starts the bench's own: after
+    // the fast-forward the manifest records, if there is one.
+    SimSnapshot start;
+    if (sp.fastforwardInsts > 0) {
+        start = buildWarmCheckpoint(prog, cfg.memory, cfg.core.predictor,
+                                    sp.fastforwardInsts);
+    }
+    const auto core =
+        makeCore(prog, cfg, sp.fastforwardInsts > 0 ? &start : nullptr);
 
     StatsRegistry reg;
     core->registerStats(reg, "core");

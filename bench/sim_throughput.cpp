@@ -76,7 +76,7 @@ measureInterp(const std::vector<std::unique_ptr<Workload>> &workloads,
         MemHierarchy hier{HierarchyParams{}};
         PredictorUnit bp{PredictorParams{}};
         if (warm)
-            interp.attachWarming(&hier, &bp);
+            interp.attachWarming(hier, bp);
         r.instructions += interp.run(insts_each);
         r.warm += interp.warmingWork();
     }

@@ -152,12 +152,7 @@ main(int argc, char **argv)
     }
     t.print();
 
-    std::printf("\nPaper Table 2 semantics check: %d deviations.\n"
-                "Expected pattern: NDA propagation blocks "
-                "control-steering;\n+BR adds SSB; strict adds GPR "
-                "secrets; load restriction blocks\nchosen-code; "
-                "InvisiSpec blocks only the d-cache and MSHR channels\n"
-                "(the BTB and port-contention attacks defeat it).\n",
+    std::printf("\nPaper Table 2 semantics check: %d deviations.\n",
                 mismatches);
     std::printf("Timing vs DIFT oracle: %d of %zu cells disagree.\n",
                 disagreements, cells);

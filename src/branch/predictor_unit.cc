@@ -98,6 +98,21 @@ PredictorUnit::commitUpdate(const MicroOp &uop, Addr pc, bool taken,
 }
 
 void
+PredictorUnit::warmResolved(const MicroOp &uop, Addr pc, bool taken,
+                            Addr actual)
+{
+    const BranchPrediction pred = predict(uop, pc);
+    const OpTraits &t = uop.traits();
+    if (t.isIndirect && !t.isReturn)
+        btbUpdate(pc, actual);
+    if (pred.nextPc != actual) {
+        restore(pred.ckpt);
+        applyResolved(uop, pc, taken, actual);
+    }
+    commitUpdate(uop, pc, taken, pred.ckpt.history);
+}
+
+void
 PredictorUnit::reset()
 {
     direction_.reset();

@@ -101,6 +101,16 @@ class PredictorUnit
      */
     void btbUpdate(Addr pc, Addr target) { btb_.update(pc, target); }
 
+    /**
+     * Functional warming for one branch resolved to `actual`,
+     * following the timing cores' correct-path update rules: predict
+     * (touches BTB LRU / speculative history / RAS), install an
+     * indirect target at execution, recover and re-steer on a
+     * mispredict, train the direction tables at commit.
+     */
+    void warmResolved(const MicroOp &uop, Addr pc, bool taken,
+                      Addr actual);
+
     DirectionPredictor &direction() { return direction_; }
     Btb &btb() { return btb_; }
     Ras &ras() { return ras_; }

@@ -9,18 +9,6 @@ namespace nda {
 
 namespace {
 
-/** The blocking core's 3-class stall maps directly onto the slot
- *  vocabulary: it has no speculation, queues, or MSHR pressure. */
-StallCause
-stallSlotCause(CycleClass cls)
-{
-    switch (cls) {
-      case CycleClass::kMemoryStall: return StallCause::kMemLatency;
-      case CycleClass::kBackendStall: return StallCause::kExecLatency;
-      default: return StallCause::kFrontend;
-    }
-}
-
 /** Register-writing ALU ops (the evalAlu set): they pay an execute
  *  latency on top of the fetch. */
 bool
@@ -55,12 +43,7 @@ InOrderCore::tick()
     // END of this cycle.
     hier_.advance(cycle_ + 1);
     if (cycle_ < busyUntil_) {
-        ++counters_.cycleClass[static_cast<int>(stallClass_)];
-        if (cpiStack_) {
-            cpiStack_->onCycle();
-            cpiStack_->addSlots(stallSlotCause(stallClass_), 1,
-                                stallPc_);
-        }
+        accountCycle(stallCause_, stallPc_);
         return true;
     }
     const Addr inst_pc = interp_.pc();
@@ -69,17 +52,22 @@ InOrderCore::tick()
     committed_ = interp_.instCount();
     busyUntil_ = cycle_ + cost;
     stallPc_ = inst_pc; // subsequent stall cycles pay for this inst
-    ++counters_.cycleClass[static_cast<int>(CycleClass::kCommit)];
+    // The halting edge (invalid PC) retires nothing — its one slot is
+    // a window artifact, not a stall.
+    accountCycle(committed_ > before ? StallCause::kCommit
+                                     : StallCause::kIdle,
+                 inst_pc);
+    return !interp_.halted();
+}
+
+void
+InOrderCore::accountCycle(StallCause cause, Addr pc)
+{
+    ++counters_.cycleClass[static_cast<int>(cycleClassOf(cause))];
     if (cpiStack_) {
         cpiStack_->onCycle();
-        // The halting edge (invalid PC) retires nothing — its one
-        // slot is a window artifact, not a stall.
-        cpiStack_->addSlots(committed_ > before
-                                ? StallCause::kCommit
-                                : StallCause::kIdle,
-                            1, inst_pc);
+        cpiStack_->addSlots(cause, 1, pc);
     }
-    return !interp_.halted();
 }
 
 TaintWord
@@ -133,7 +121,7 @@ InOrderCore::step()
     // step's own data miss) is ever in flight and rejection cannot
     // happen.
     Cycle cost = 0; // the commit cycle itself is charged by tick()
-    stallClass_ = CycleClass::kFrontendStall;
+    stallCause_ = StallCause::kFrontend;
     const Addr fetch_addr = pcToFetchAddr(pc);
     const MemRequestResult fetch = hier_.instRequest(fetch_addr, cycle_);
     NDA_ASSERT(!fetch.rejected(),
@@ -158,7 +146,7 @@ InOrderCore::step()
             t.isLoad ? MshrTargetKind::kLoad : MshrTargetKind::kStore);
         NDA_ASSERT(!req.rejected(),
                    "blocking core overflowed the D-side MSHR file");
-        stallClass_ = CycleClass::kMemoryStall;
+        stallCause_ = StallCause::kMemLatency;
         cost += req.latency;
         if (t.isLoad) {
             ++counters_.loads;
@@ -180,7 +168,7 @@ InOrderCore::step()
     } else if (t.isIndirect) {
         ++counters_.indirectBranches;
     } else if (isAluOp(uop.op)) {
-        stallClass_ = CycleClass::kBackendStall;
+        stallCause_ = StallCause::kExecLatency;
         cost += opLatencyCycles(uop.op) - 1;
     }
     return cost;

@@ -72,12 +72,17 @@ class InOrderCore : public CoreBase
   private:
     /** Execute one instruction; returns its total cycle cost. */
     Cycle step();
+    /** Charge this cycle's one slot to `cause`, paid for by `pc`: the
+     *  Fig 9a class, and the CPI stack when attached. */
+    void accountCycle(StallCause cause, Addr pc);
 
     Interpreter interp_;
     MemHierarchy hier_;
 
     Cycle busyUntil_ = 0;
-    CycleClass stallClass_ = CycleClass::kCommit;
+    /** What the cycles until busyUntil_ wait on: the fetch, the data
+     *  access, or the ALU latency of the last instruction. */
+    StallCause stallCause_ = StallCause::kCommit;
     /** Line of the last i-fetch, carried in ArchState::lastFetchLine. */
     Addr lastFetchLine_ = ~Addr{0};
     TaintEngine *dift_ = nullptr;

@@ -1,6 +1,7 @@
 #include "core/ooo_core.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <string>
 
 #include "common/log.hh"
@@ -272,7 +273,7 @@ OooCore::commitStage()
 {
     unsigned ncommit = 0;
     for (ThreadContext &tc : threads_)
-        tc.commitBreak = CommitBreak::kNone;
+        tc.commitBlock = StallCause::kCommit;
 
     // Shared commit bandwidth, threads served in rotation order so
     // neither context can monopolise retirement. One thread reduces
@@ -288,10 +289,8 @@ OooCore::commitStage()
            !tc.halted && committed_ < commitTarget_) {
         DynInstPtr inst = tc.rob.front();
 
-        if (!inst->executed) {
-            tc.commitBreak = CommitBreak::kNotExecuted;
-            break; // stall; classified below
-        }
+        if (!inst->executed)
+            break; // stall; headCause reads why from the head
 
         if (inst->fault != FaultType::kNone) {
             // Trap delivery is not instantaneous: the fault fires
@@ -306,7 +305,9 @@ OooCore::commitStage()
                     cycle_ + cfg_.core.faultLatency;
             }
             if (cycle_ < inst->faultDeliverAt) {
-                tc.commitBreak = CommitBreak::kFaultWait;
+                // Trap-delivery latency is part of the fault's
+                // squash cost.
+                tc.commitBlock = StallCause::kSquashFault;
                 break;
             }
             raiseFault(inst);
@@ -331,8 +332,9 @@ OooCore::commitStage()
                     : cycle_ + hier_.params().l1d.hitLatency;
         }
         if (inst->validating && cycle_ < inst->validateDoneAt) {
-            tc.commitBreak = CommitBreak::kValidate;
-            break; // retirement stalled on validation
+            // An L1 round trip at retirement.
+            tc.commitBlock = StallCause::kMemLatency;
+            break;
         }
 
         // NDA load restriction: a load wakes its dependents iff it is
@@ -352,7 +354,6 @@ OooCore::commitStage()
         // before it can drain (split store-data micro-op).
         if (inst->isStore() && inst->src2 != kInvalidPhysReg &&
             !regs_.ready(inst->src2)) {
-            tc.commitBreak = CommitBreak::kStoreData;
             break;
         }
         if (inst->isStore()) {
@@ -362,7 +363,7 @@ OooCore::commitStage()
                 inst->effAddr, cycle_, inst->seq, MshrTargetKind::kStore,
                 tid);
             if (res.rejected()) {
-                tc.commitBreak = CommitBreak::kStoreMshrFull;
+                tc.commitBlock = StallCause::kMshrFull;
                 break;
             }
             inst->storeData = regs_.value(inst->src2);
@@ -462,49 +463,53 @@ OooCore::robOccupancy() const
     return n;
 }
 
-CycleClass
-OooCore::classifyThread(unsigned committed_now,
-                        const ThreadContext &tc) const
-{
-    if (committed_now > 0)
-        return CycleClass::kCommit;
-    if (tc.rob.empty())
-        return CycleClass::kFrontendStall;
-    const DynInstPtr &head = tc.rob.front();
-    const bool mem_op = head->uop.isMemory() ||
-                        (head->validating &&
-                         cycle_ < head->validateDoneAt);
-    return mem_op ? CycleClass::kMemoryStall
-                  : CycleClass::kBackendStall;
-}
-
 void
 OooCore::accountCycle(unsigned ncommit)
 {
     const unsigned ptid = priorityTid();
+    const ThreadContext &tc = threads_[ptid];
+    const std::uint64_t lost = cfg_.core.commitWidth - ncommit;
+    // Window edge: the machine is done, the slots measure nothing.
+    const bool edge = halted() || committed_ >= commitTarget_;
+    // In-order commit: every occupied slot behind the blocked head
+    // shares the head's cause. Slots beyond ROB occupancy never had
+    // an instruction to retire, so their cause is upstream (squash
+    // refetch, frontend starvation, or a dispatch capacity limit).
+    const std::uint64_t occupied =
+        edge ? 0 : std::min<std::uint64_t>(lost, tc.rob.size());
+
+    // The cause of the first lost slot, computed only where it is
+    // read: it is the cycle's cause when nothing retired.
+    SlotAttr first{StallCause::kCommit, 0};
+    if (lost && (ncommit == 0 || cpiStack_)) {
+        if (edge)
+            first = {StallCause::kIdle,
+                     tc.rob.empty() ? tc.fetchPc : tc.rob.front()->pc};
+        else if (occupied)
+            first = headCause(ptid);
+        else
+            first = emptyCause(ptid);
+    }
     ++counters_.cycles;
     ++counters_.cycleClass[static_cast<int>(
-        classifyThread(ncommit, threads_[ptid]))];
+        cycleClassOf(ncommit ? StallCause::kCommit : first.cause))];
 
     if (!cpiStack_)
         return;
     cpiStack_->onCycle();
-    const std::uint64_t lost = cfg_.core.commitWidth - ncommit;
-    if (lost) {
-        attributeLostSlots(ptid, lost,
-                           halted() || committed_ >= commitTarget_);
+    if (!lost)
+        return;
+    // The first cause takes the occupied slots, or every lost slot at
+    // a window edge or behind an empty ROB.
+    const std::uint64_t n = occupied ? occupied : lost;
+    cpiStack_->addSlots(first.cause, n, first.pc);
+    if (lost > n) {
+        const SlotAttr rest = emptyCause(ptid);
+        cpiStack_->addSlots(rest.cause, lost - n, rest.pc);
     }
 }
 
-// --------------------------------------------------------------------------
-// CPI-stack slot attribution (only reached with a profiler attached)
-// --------------------------------------------------------------------------
-
 namespace {
-
-/** Chains deeper than this are charged to the last producer reached;
- *  real dependence chains through a 192-entry ROB rarely get close. */
-constexpr int kMaxChaseDepth = 16;
 
 /** NDA deferral bucket by the *producer's* class — the paper's policy
  *  axis (load restriction defers loads, branch restriction defers the
@@ -519,189 +524,92 @@ ndaDeferCause(const DynInst &producer)
     return StallCause::kNdaDeferAlu;
 }
 
-} // namespace
-
-void
-OooCore::attributeLostSlots(unsigned tid, std::uint64_t lost, bool edge)
+/** The slot bucket of the refetch after a squash of each cause. */
+StallCause
+refetchCauseOf(SquashCause c)
 {
-    ThreadContext &tc = threads_[tid];
-    if (edge) {
-        // Window edge: the machine is done, the slots measure nothing.
-        cpiStack_->addSlots(StallCause::kIdle, lost,
-                            tc.rob.empty() ? tc.fetchPc : tc.rob.front()->pc);
-        return;
-    }
-    // In-order commit: every occupied slot behind the blocked head
-    // shares the head's root cause. Slots beyond ROB occupancy never
-    // had an instruction to retire — their cause is upstream (squash
-    // refetch, frontend starvation, or a dispatch capacity limit).
-    const std::uint64_t occupied =
-        std::min<std::uint64_t>(lost, tc.rob.size());
-    if (occupied) {
-        const SlotAttr a = headCause(tid);
-        cpiStack_->addSlots(a.cause, occupied, a.pc);
-    }
-    if (lost > occupied) {
-        const SlotAttr a = emptyCause(tid);
-        cpiStack_->addSlots(a.cause, lost - occupied, a.pc);
-    }
+    constexpr StallCause kRefetch[] = {
+        StallCause::kFrontend,        StallCause::kSquashBranch,
+        StallCause::kSquashMemOrder,  StallCause::kSquashFault,
+        StallCause::kSquashSerialize,
+    };
+    static_assert(std::size(kRefetch) ==
+                  static_cast<std::size_t>(SquashCause::kNumCauses));
+    return kRefetch[static_cast<int>(c)];
 }
 
+} // namespace
+
 OooCore::SlotAttr
-OooCore::headCause(unsigned tid)
+OooCore::headCause(unsigned tid) const
 {
-    ThreadContext &tc = threads_[tid];
-    const DynInstPtr &head = tc.rob.front();
-    switch (tc.commitBreak) {
-      case CommitBreak::kFaultWait:
-        // Trap-delivery latency is part of the fault's squash cost.
-        return {StallCause::kSquashFault, head->pc};
-      case CommitBreak::kValidate:
-        // IS-Future validation is an L1 round trip at retirement.
-        return {StallCause::kMemLatency, head->pc};
-      case CommitBreak::kStoreMshrFull:
-        return {StallCause::kMshrFull, head->pc};
-      case CommitBreak::kStoreData:
-        // Split store micro-ops: the data register is read at commit,
-        // so the break is a dependence wait on src2's producer.
-        buildProducerMap();
-        return chaseBlockedReg(head->src2, head->pc, 0);
-      case CommitBreak::kNotExecuted:
-      case CommitBreak::kNone:
-        break;
+    const ThreadContext &tc = threads_[tid];
+    const DynInst &head = *tc.rob.front();
+    if (tc.commitBlock != StallCause::kCommit)
+        return {tc.commitBlock, head.pc};
+
+    const auto waiting = [this](PhysRegId r) {
+        return r != kInvalidPhysReg && !regs_.ready(r);
+    };
+    // Split store micro-ops: an executed store reads its data
+    // register at commit.
+    const bool store_data =
+        head.executed && head.isStore() && waiting(head.src2);
+    if (!store_data && (head.issued || head.executed)) {
+        // In flight: the remaining latency is the cost.
+        const bool mem_op = head.uop.isMemory() || head.validating;
+        return {mem_op ? StallCause::kMemLatency : StallCause::kExecLatency,
+                head.pc};
     }
-    buildProducerMap();
-    return chaseInst(head.get(), 0);
+    // The first operand the head still needs, as sourcesReady() sees
+    // it (an unissued store's data is not read yet).
+    PhysRegId need = kInvalidPhysReg;
+    if (store_data)
+        need = head.src2;
+    else if (waiting(head.src1))
+        need = head.src1;
+    else if (!head.isStore() && waiting(head.src2))
+        need = head.src2;
+    if (need == kInvalidPhysReg) {
+        // Sources ready but still unissued: a structural reject (MSHR
+        // full on its last attempt) or selection/port pressure.
+        return {head.mshrRejected ? StallCause::kMshrFull
+                                  : StallCause::kIssueWait,
+                head.pc};
+    }
+    // The head's producers are older than it, so they have committed
+    // and only the retire-wake queue can still hold one: the youngest
+    // queued writer of `need`, executed with its broadcast withheld.
+    // That is NDA's deferral if the producer was ever unsafe, else
+    // plain port arbitration / retire-wake plumbing.
+    for (auto it = pendingBcast_.rbegin(); it != pendingBcast_.rend();
+         ++it) {
+        const DynInst &p = **it;
+        if (p.dest == need && !p.squashed && !p.broadcasted) {
+            return {p.everUnsafe ? ndaDeferCause(p)
+                                 : StallCause::kIssueWait,
+                    p.pc};
+        }
+    }
+    // The producer left without a broadcast record: the head waits on
+    // selection, not data.
+    return {StallCause::kIssueWait, head.pc};
 }
 
 OooCore::SlotAttr
 OooCore::emptyCause(unsigned tid) const
 {
     const ThreadContext &tc = threads_[tid];
-    if (tc.refetchPending) {
-        // Between a squash and the refetched stream reaching dispatch,
-        // the missing instructions are the flush's fault — charged to
-        // the squashing instruction, not to the innocent frontend.
-        StallCause c;
-        switch (tc.lastSquashCause) {
-          case SquashCause::kBranchMispredict:
-            c = StallCause::kSquashBranch;
-            break;
-          case SquashCause::kMemOrderViolation:
-            c = StallCause::kSquashMemOrder;
-            break;
-          case SquashCause::kFault:
-            c = StallCause::kSquashFault;
-            break;
-          case SquashCause::kSerialize:
-            c = StallCause::kSquashSerialize;
-            break;
-          default:
-            c = StallCause::kFrontend;
-            break;
-        }
-        return {c, tc.lastSquashPc};
-    }
-    // dispatchBlock still holds *last* cycle's outcome (this hook
-    // runs in commit, before this cycle's dispatch) — exactly the
-    // dispatch decision that produced today's ROB tail.
-    const Addr pc =
-        tc.fetchQueue.empty() ? tc.fetchPc : tc.fetchQueue.front()->pc;
-    switch (tc.dispatchBlock) {
-      case DispatchBlock::kIqFull:
-        return {StallCause::kIqFull, pc};
-      case DispatchBlock::kLqFull:
-      case DispatchBlock::kSqFull:
-        return {StallCause::kLsqFull, pc};
-      case DispatchBlock::kRobFull:
-      case DispatchBlock::kRegsFull:
-        return {StallCause::kRobFull, pc};
-      case DispatchBlock::kNone:
-      case DispatchBlock::kFetchEmpty:
-      case DispatchBlock::kFrontendDelay:
-        break;
-    }
-    return {StallCause::kFrontend, pc};
-}
-
-void
-OooCore::buildProducerMap()
-{
-    producerOf_.assign(cfg_.core.numPhysRegs, nullptr);
-    for (const ThreadContext &tc : threads_) {
-        for (const DynInstPtr &inst : tc.rob) {
-            if (inst->dest != kInvalidPhysReg && !inst->broadcasted)
-                producerOf_[inst->dest] = inst.get();
-        }
-    }
-    // Committed NDA-deferred producers in the retire-wake window are
-    // no longer in the ROB but still gate their consumers — without
-    // them the load restriction's defining stall would show up as an
-    // anonymous issue wait.
-    for (const DynInstPtr &inst : pendingBcast_) {
-        if (!inst->squashed && inst->dest != kInvalidPhysReg &&
-            !inst->broadcasted) {
-            producerOf_[inst->dest] = inst.get();
-        }
-    }
-}
-
-OooCore::SlotAttr
-OooCore::chaseBlockedReg(PhysRegId r, Addr consumer_pc, int depth)
-{
-    const DynInst *p =
-        r != kInvalidPhysReg && r < producerOf_.size() &&
-                !regs_.ready(r)
-            ? producerOf_[r]
-            : nullptr;
-    if (!p) {
-        // Ready after all (or the producer left without a broadcast
-        // record): the consumer is waiting on selection, not data.
-        return {StallCause::kIssueWait, consumer_pc};
-    }
-    if (p->executed && !p->broadcasted) {
-        // The value exists; only the tag broadcast is withheld. NDA's
-        // deferral if the producer was ever unsafe, otherwise plain
-        // port arbitration / retire-wake plumbing.
-        if (p->everUnsafe)
-            return {ndaDeferCause(*p), p->pc};
-        return {StallCause::kIssueWait, p->pc};
-    }
-    return chaseInst(p, depth + 1);
-}
-
-OooCore::SlotAttr
-OooCore::chaseInst(const DynInst *inst, int depth)
-{
-    if (depth >= kMaxChaseDepth)
-        return {StallCause::kExecLatency, inst->pc};
-    if (inst->issued || inst->executed) {
-        // In flight: the remaining latency is the cost.
-        const bool mem_op = inst->uop.isMemory() || inst->validating;
-        return {mem_op ? StallCause::kMemLatency
-                       : StallCause::kExecLatency,
-                inst->pc};
-    }
-    // Waiting in the issue queue: find what sourcesReady() sees as
-    // not ready (a store's src2 is read at commit, never here).
-    const OpTraits &t = inst->uop.traits();
-    PhysRegId blocked = kInvalidPhysReg;
-    if (t.readsRs1 && inst->src1 != kInvalidPhysReg &&
-        !regs_.ready(inst->src1)) {
-        blocked = inst->src1;
-    } else if (!inst->uop.isStore() && t.readsRs2 &&
-               inst->src2 != kInvalidPhysReg &&
-               !regs_.ready(inst->src2)) {
-        blocked = inst->src2;
-    }
-    if (blocked == kInvalidPhysReg) {
-        // Sources ready but still unissued: a structural reject (MSHR
-        // full on its last attempt) or selection/port pressure.
-        if (inst->mshrRejected)
-            return {StallCause::kMshrFull, inst->pc};
-        return {StallCause::kIssueWait, inst->pc};
-    }
-    return chaseBlockedReg(blocked, inst->pc, depth);
+    // Between a squash and the refetched stream reaching dispatch,
+    // the missing instructions are the flush's fault — charged to the
+    // squashing instruction, not to the innocent frontend.
+    if (tc.refetchPending)
+        return {tc.refetchCause, tc.lastSquashPc};
+    // dispatchBlock still holds *last* cycle's outcome (this runs in
+    // commit, before this cycle's dispatch) — exactly the dispatch
+    // decision that produced today's ROB tail.
+    return {tc.dispatchBlock,
+            tc.fetchQueue.empty() ? tc.fetchPc : tc.fetchQueue.front()->pc};
 }
 
 void
@@ -1006,7 +914,7 @@ OooCore::squashAfter(unsigned tid, InstSeqNum keep_seq,
     // CPI stack: until the refetched stream reaches dispatch again,
     // empty commit slots belong to this squash (and to its culprit).
     tc.refetchPending = true;
-    tc.lastSquashCause = cause;
+    tc.refetchCause = refetchCauseOf(cause);
     tc.lastSquashPc = cause_pc;
     // Restore front-end speculative predictor state youngest-first.
     for (auto it = tc.fetchQueue.rbegin(); it != tc.fetchQueue.rend();
@@ -1440,19 +1348,15 @@ OooCore::dispatchStage()
     for (unsigned k = 0; k < numThreads_ && budget > 0; ++k) {
         const unsigned tid = rotatedTid(k);
         ThreadContext &tc = threads_[tid];
-        tc.dispatchBlock = DispatchBlock::kNone;
+        tc.dispatchBlock = StallCause::kFrontend;
         while (budget > 0) {
-            if (tc.fetchQueue.empty()) {
-                tc.dispatchBlock = DispatchBlock::kFetchEmpty;
+            if (tc.fetchQueue.empty())
                 break;
-            }
             DynInstPtr inst = tc.fetchQueue.front();
-            if (cycle_ < inst->fetchedAt + cfg_.core.frontendDelay) {
-                tc.dispatchBlock = DispatchBlock::kFrontendDelay;
+            if (cycle_ < inst->fetchedAt + cfg_.core.frontendDelay)
                 break;
-            }
             if (robOccupancy() >= cfg_.core.robEntries) {
-                tc.dispatchBlock = DispatchBlock::kRobFull;
+                tc.dispatchBlock = StallCause::kRobFull;
                 break;
             }
             // With SMT the IQ is statically partitioned: a thread may
@@ -1464,19 +1368,16 @@ OooCore::dispatchStage()
                 (numThreads_ > 1 &&
                  iq_.occupancyOf(tid) >=
                      std::max(1u, cfg_.core.iqEntries / numThreads_))) {
-                tc.dispatchBlock = DispatchBlock::kIqFull;
+                tc.dispatchBlock = StallCause::kIqFull;
                 break;
             }
-            if (inst->isLoad() && lsq_.lqFull()) {
-                tc.dispatchBlock = DispatchBlock::kLqFull;
-                break;
-            }
-            if (inst->isStore() && lsq_.sqFull()) {
-                tc.dispatchBlock = DispatchBlock::kSqFull;
+            if ((inst->isLoad() && lsq_.lqFull()) ||
+                (inst->isStore() && lsq_.sqFull())) {
+                tc.dispatchBlock = StallCause::kLsqFull;
                 break;
             }
             if (inst->uop.traits().hasDest && !regs_.hasFree(tid)) {
-                tc.dispatchBlock = DispatchBlock::kRegsFull;
+                tc.dispatchBlock = StallCause::kRobFull;
                 break;
             }
             tc.fetchQueue.pop_front();

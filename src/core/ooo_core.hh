@@ -87,9 +87,9 @@ class OooCore : public CoreBase
     /**
      * Attach the causal CPI-stack profiler. Per cycle the commit
      * stage owns `commitWidth` slots; each one is attributed — to the
-     * retiring instruction, or to the root cause found by walking the
-     * dependence chain from the blocked ROB head (obs/cpi_stack.hh).
-     * All hooks are null-guarded; detached simulation pays nothing.
+     * retiring instruction, or to the cause of the blocked ROB head
+     * (obs/cpi_stack.hh). All hooks are null-guarded; detached
+     * simulation pays only the Fig 9a class of its stall cycles.
      */
     void attachCpiStack(CpiStackProfiler *p) override
     {
@@ -158,29 +158,6 @@ class OooCore : public CoreBase
     }
 
   private:
-    // --- CPI-stack attribution (all dead code unless cpiStack_ set) -------
-    /** Why the commit loop stopped retiring this cycle. */
-    enum class CommitBreak : std::uint8_t {
-        kNone = 0,      ///< loop ended for a non-head reason
-        kNotExecuted,   ///< head has not completed execution
-        kFaultWait,     ///< head waiting out trap-delivery latency
-        kValidate,      ///< IS-Future validation round trip
-        kStoreData,     ///< store data register not broadcast yet
-        kStoreMshrFull, ///< store drain rejected by a full MSHR file
-    };
-
-    /** Why dispatch stopped renaming this cycle. */
-    enum class DispatchBlock : std::uint8_t {
-        kNone = 0,      ///< used the full width (or nothing arrived)
-        kFetchEmpty,    ///< fetch queue ran dry
-        kFrontendDelay, ///< head still in the fetch-to-dispatch pipe
-        kRobFull,       ///< ROB at capacity
-        kIqFull,        ///< issue queue at capacity
-        kLqFull,        ///< load queue at capacity
-        kSqFull,        ///< store queue at capacity
-        kRegsFull,      ///< physical register file exhausted
-    };
-
     /**
      * Everything one SMT hardware thread owns privately: its
      * architectural view (commit map, MSRs), speculative rename map,
@@ -210,11 +187,17 @@ class OooCore : public CoreBase
         bool specDisabled = false; ///< inside a specoff window (SS8)
         bool halted = false;
 
-        // CPI-stack attribution state
-        CommitBreak commitBreak = CommitBreak::kNone;
-        DispatchBlock dispatchBlock = DispatchBlock::kNone;
+        // Stall causes the stages saw, read by accountCycle
+        /** Why commit stopped at the head this cycle, for the blocks
+         *  the head's own state cannot show (fault wait, IS-Future
+         *  validation, store MSHR reject); kCommit otherwise. */
+        StallCause commitBlock = StallCause::kCommit;
+        /** Why dispatch stopped renaming on its last visit (kFrontend:
+         *  nothing to rename, or the full width used). */
+        StallCause dispatchBlock = StallCause::kFrontend;
         bool refetchPending = false; ///< squashed; refill not dispatched
-        SquashCause lastSquashCause = SquashCause::kNone;
+        /** The refetch's slot bucket, by the squash's cause. */
+        StallCause refetchCause = StallCause::kFrontend;
         Addr lastSquashPc = 0;   ///< pc of the squashing instruction
     };
 
@@ -296,36 +279,28 @@ class OooCore : public CoreBase
 
     /**
      * Charge one cycle in which `ncommit` instructions retired: the
-     * cycle count, the Fig 9a class, and the CPI stacks' lost slots
-     * (commit slots are charged inline as instructions retire). Runs
-     * once per tick, at the end of the commit stage.
+     * cycle count, the Fig 9a class, and the CPI stack's lost slots
+     * (commit slots are charged inline as instructions retire). The
+     * cycle's cause is kCommit if anything retired, else the priority
+     * thread's head or empty-slot cause; its Fig 9a class is that
+     * cause's cycleClassOf group. Runs once per tick, at the end of
+     * the commit stage.
      */
     void accountCycle(unsigned ncommit);
-    /** Root cause of thread `tid`'s stalled ROB head. */
-    SlotAttr headCause(unsigned tid);
+    /** Cause of thread `tid`'s stalled ROB head: the recorded commit
+     *  block, the head's own latency, or the one producer of the
+     *  operand it waits on. */
+    SlotAttr headCause(unsigned tid) const;
     /** Cause of thread `tid`'s slots beyond ROB occupancy (squash
      *  refetch, frontend starvation, or a dispatch capacity limit
      *  from last cycle). */
     SlotAttr emptyCause(unsigned tid) const;
-    /** Attribute thread `tid`'s lost slots into cpiStack_. */
-    void attributeLostSlots(unsigned tid, std::uint64_t lost, bool edge);
-    /** Walk the dependence chain from `inst` to its root blocker. */
-    SlotAttr chaseInst(const DynInst *inst, int depth);
-    /** Attribute a wait on not-ready phys reg `r` (store data, or a
-     *  chased instruction's blocked source). */
-    SlotAttr chaseBlockedReg(PhysRegId r, Addr consumer_pc, int depth);
-    /** Rebuild producerOf_ from every ROB and the deferred-broadcast
-     *  queue (committed NDA producers in the retire-wake window). */
-    void buildProducerMap();
 
     RegVal srcValue(PhysRegId r) const
     {
         return r == kInvalidPhysReg ? 0 : regs_.value(r);
     }
 
-    /** Commit/frontend/memory/backend class of one thread's cycle. */
-    CycleClass classifyThread(unsigned committed_now,
-                              const ThreadContext &tc) const;
     /** SMT arbitration order: the thread at rotation position `k`
      *  this cycle (commit, dispatch and fetch all start at k = 0). */
     unsigned
@@ -379,9 +354,6 @@ class OooCore : public CoreBase
 
     // --- CPI-stack attribution state ---------------------------------------
     CpiStackProfiler *cpiStack_ = nullptr; ///< pooled; usually absent
-    /** Phys reg -> in-flight producer that has not broadcast. Rebuilt
-     *  lazily per profiled stall cycle; never read otherwise. */
-    std::vector<const DynInst *> producerOf_;
 
     /** The core's only counters, pooled over hardware threads. */
     PerfCounters counters_;

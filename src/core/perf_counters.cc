@@ -34,18 +34,20 @@ PerfCounters::registerStats(StatsRegistry &reg,
     const StatsRegistry::Group cyc = g.group("cycle_class");
     cyc.counter("commit",
                 &cycleClass[static_cast<int>(CycleClass::kCommit)],
-                "cycles retiring >=1 instruction (Fig 9a)");
+                "cycles retiring >=1 instruction, or idle at a window "
+                "edge (Fig 9a)");
     cyc.counter("mem_stall",
                 &cycleClass[static_cast<int>(CycleClass::kMemoryStall)],
-                "cycles stalled on an incomplete memory op at head");
+                "stall cycles charged to mem_latency or mshr_full");
     cyc.counter(
         "backend_stall",
         &cycleClass[static_cast<int>(CycleClass::kBackendStall)],
-        "cycles stalled on an incomplete non-memory op at head");
+        "stall cycles charged to NDA deferral, execution, issue or "
+        "dispatch capacity");
     cyc.counter(
         "frontend_stall",
         &cycleClass[static_cast<int>(CycleClass::kFrontendStall)],
-        "cycles with an empty ROB (fetch/squash recovery)");
+        "stall cycles charged to the frontend or a squash refetch");
 
     const StatsRegistry::Group br = g.group("branch");
     br.counter("cond", &condBranches, "committed conditional branches");

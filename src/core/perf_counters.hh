@@ -14,19 +14,11 @@
 
 #include "common/histogram.hh"
 #include "common/types.hh"
+#include "obs/hotspot_profiler.hh"
 
 namespace nda {
 
 class StatsRegistry;
-
-/** Classification of each simulated cycle (Fig 9a). */
-enum class CycleClass : std::uint8_t {
-    kCommit = 0,     ///< >=1 instruction retired this cycle
-    kMemoryStall,    ///< ROB head is an incomplete memory op
-    kBackendStall,   ///< ROB head is an incomplete non-memory op
-    kFrontendStall,  ///< ROB empty or squash recovery in progress
-    kNumClasses,
-};
 
 /** Why a pipeline flush happened (squash attribution). */
 enum class SquashCause : std::uint8_t {
@@ -44,6 +36,7 @@ const char *squashCauseName(SquashCause c);
 struct PerfCounters {
     Cycle cycles = 0;
     std::uint64_t committedInsts = 0;
+    /** Fig 9a: cycles by the class of their StallCause. */
     std::uint64_t cycleClass[static_cast<int>(CycleClass::kNumClasses)] =
         {};
 

@@ -86,7 +86,7 @@ fastForward(const Program &prog, const HierarchyParams &mem_params,
         hier.restore(base->mem);
         bp.restore(base->predictor);
     }
-    interp.attachWarming(&hier, &bp);
+    interp.attachWarming(hier, bp);
     if (dift)
         interp.attachDift(dift); // takes the base's captured taint
 

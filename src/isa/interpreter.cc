@@ -323,25 +323,11 @@ Interpreter::step()
         break;
       default:
         if (t.isBranch) {
-            // Functional predictor warming, following the timing
-            // cores' correct-path update rules: predict (touches BTB
-            // LRU / speculative history / RAS), recover + re-steer on
-            // a mispredict, install the indirect target at execution,
-            // train direction tables at commit.
             const Addr actual = evalNextPc(uop, st_.pc, a, b);
             if (warmBp_) {
                 const bool taken =
                     t.isCondBranch ? evalCondBranch(uop.op, a, b) : true;
-                const BranchPrediction pred =
-                    warmBp_->predict(uop, st_.pc);
-                if (t.isIndirect && !t.isReturn)
-                    warmBp_->btbUpdate(st_.pc, actual);
-                if (pred.nextPc != actual) {
-                    warmBp_->restore(pred.ckpt);
-                    warmBp_->applyResolved(uop, st_.pc, taken, actual);
-                }
-                warmBp_->commitUpdate(uop, st_.pc, taken,
-                                      pred.ckpt.history);
+                warmBp_->warmResolved(uop, st_.pc, taken, actual);
                 ++warmWork_.bpTrains;
             }
             if (t.hasDest) {
@@ -384,7 +370,7 @@ Interpreter::step()
  * invalidates the entry. The fast path never allocates on loads,
  * preserving MemoryMap's resident-page-set bit-identity contract.
  */
-template <bool WarmHier, bool WarmBp, bool HasDift>
+template <bool Warm, bool HasDift>
 std::uint64_t
 Interpreter::runImpl(std::uint64_t max_insts)
 {
@@ -465,19 +451,9 @@ Interpreter::runImpl(std::uint64_t max_insts)
     std::uint8_t *tlb_bytes = nullptr;
     bool tlb_kernel = false;
 
-    // Full predictor warming protocol for one resolved branch,
-    // mirroring step()'s correct-path update rules bit-for-bit.
-    const auto warm_branch = [&](Addr br_pc, bool taken, Addr actual,
-                                 bool install_btb) {
-        const MicroOp &uop = prog_.code[br_pc];
-        const BranchPrediction pred = bp->predict(uop, br_pc);
-        if (install_btb)
-            bp->btbUpdate(br_pc, actual);
-        if (pred.nextPc != actual) {
-            bp->restore(pred.ckpt);
-            bp->applyResolved(uop, br_pc, taken, actual);
-        }
-        bp->commitUpdate(uop, br_pc, taken, pred.ckpt.history);
+    // Predictor warming for one resolved branch, as in step().
+    const auto warm_branch = [&](Addr br_pc, bool taken, Addr actual) {
+        bp->warmResolved(prog_.code[br_pc], br_pc, taken, actual);
         ++warmWork_.bpTrains;
     };
     (void)warm_branch;
@@ -497,7 +473,7 @@ Interpreter::runImpl(std::uint64_t max_insts)
     // precedes the instCount increment and all side effects).
 #define NDA_PROLOGUE()                                                  \
     do {                                                                \
-        if constexpr (WarmHier) {                                       \
+        if constexpr (Warm) {                                           \
             if (ip->fetchLine != last_line) {                           \
                 hier->instAccess(ip->fetchAddr);                        \
                 last_line = ip->fetchLine;                              \
@@ -566,8 +542,8 @@ Interpreter::runImpl(std::uint64_t max_insts)
         const bool taken = (test);                                      \
         const Addr target =                                             \
             taken ? static_cast<Addr>(ip->uimm) : pc + 1;               \
-        if constexpr (WarmBp)                                           \
-            warm_branch(pc, taken, target, false);                      \
+        if constexpr (Warm)                                             \
+            warm_branch(pc, taken, target);                             \
         if (taken) {                                                    \
             const std::uint32_t ti = ip->targetIdx;                     \
             pc = target;                                                \
@@ -636,7 +612,7 @@ Interpreter::runImpl(std::uint64_t max_insts)
             }
             if (tlb_kernel)
                 NDA_RAISE_FAULT();
-            if constexpr (WarmHier) {
+            if constexpr (Warm) {
                 hier->dataAccess(addr);
                 ++warmWork_.dTouches;
             }
@@ -644,7 +620,7 @@ Interpreter::runImpl(std::uint64_t max_insts)
         } else {
             if (!st.mem.accessAllowed(addr, sz, CpuMode::kUser))
                 NDA_RAISE_FAULT();
-            if constexpr (WarmHier) {
+            if constexpr (Warm) {
                 hier->dataAccess(addr);
                 ++warmWork_.dTouches;
             }
@@ -673,7 +649,7 @@ Interpreter::runImpl(std::uint64_t max_insts)
                 NDA_RAISE_FAULT();
             if (tlb_bytes == nullptr)
                 tlb_bytes = st.mem.pageDataForWrite(base);
-            if constexpr (WarmHier) {
+            if constexpr (Warm) {
                 hier->dataAccess(addr);
                 ++warmWork_.dTouches;
             }
@@ -681,7 +657,7 @@ Interpreter::runImpl(std::uint64_t max_insts)
         } else {
             if (!st.mem.accessAllowed(addr, sz, CpuMode::kUser))
                 NDA_RAISE_FAULT();
-            if constexpr (WarmHier) {
+            if constexpr (Warm) {
                 hier->dataAccess(addr);
                 ++warmWork_.dTouches;
             }
@@ -700,13 +676,13 @@ Interpreter::runImpl(std::uint64_t max_insts)
 
   h_clflush:
     NDA_PROLOGUE();
-    if constexpr (WarmHier)
+    if constexpr (Warm)
         hier->flushLine(regs[ip->rs1] + ip->uimm);
     NDA_NEXT_SEQ();
 
   h_prefetch:
     NDA_PROLOGUE();
-    if constexpr (WarmHier) {
+    if constexpr (Warm) {
         hier->dataAccess(regs[ip->rs1] + ip->uimm);
         ++warmWork_.dTouches;
     }
@@ -747,8 +723,8 @@ Interpreter::runImpl(std::uint64_t max_insts)
   h_jmp: {
         NDA_PROLOGUE();
         const Addr target = static_cast<Addr>(ip->uimm);
-        if constexpr (WarmBp)
-            warm_branch(pc, true, target, false);
+        if constexpr (Warm)
+            warm_branch(pc, true, target);
         const std::uint32_t ti = ip->targetIdx;
         pc = target;
         ip = ops + ti;
@@ -758,8 +734,8 @@ Interpreter::runImpl(std::uint64_t max_insts)
   h_call: {
         NDA_PROLOGUE();
         const Addr target = static_cast<Addr>(ip->uimm);
-        if constexpr (WarmBp)
-            warm_branch(pc, true, target, false);
+        if constexpr (Warm)
+            warm_branch(pc, true, target);
         regs[ip->rd] = pc + 1; // link value
         if constexpr (HasDift)
             dift->setArchRegTaint(ip->rd, 0);
@@ -783,8 +759,8 @@ Interpreter::runImpl(std::uint64_t max_insts)
   h_jmpreg: {
         NDA_PROLOGUE();
         const Addr target = regs[ip->rs1];
-        if constexpr (WarmBp)
-            warm_branch(pc, true, target, /*install_btb=*/true);
+        if constexpr (Warm)
+            warm_branch(pc, true, target);
         pc = target;
         ip = ops + (target < psize ? target : psize);
         NDA_DISPATCH();
@@ -795,8 +771,8 @@ Interpreter::runImpl(std::uint64_t max_insts)
         // Read the target before writing rd: callr with rd == rs1
         // must use the old value (LinkRegisterSemantics test).
         const Addr target = regs[ip->rs1];
-        if constexpr (WarmBp)
-            warm_branch(pc, true, target, /*install_btb=*/true);
+        if constexpr (Warm)
+            warm_branch(pc, true, target);
         regs[ip->rd] = pc + 1;
         if constexpr (HasDift)
             dift->setArchRegTaint(ip->rd, 0);
@@ -808,8 +784,8 @@ Interpreter::runImpl(std::uint64_t max_insts)
   h_ret: {
         NDA_PROLOGUE();
         const Addr target = regs[ip->rs1];
-        if constexpr (WarmBp)
-            warm_branch(pc, true, target, /*install_btb=*/false);
+        if constexpr (Warm)
+            warm_branch(pc, true, target);
         pc = target;
         ip = ops + (target < psize ? target : psize);
         NDA_DISPATCH();
@@ -844,15 +820,11 @@ std::uint64_t
 Interpreter::run(std::uint64_t max_insts)
 {
 #if NDASIM_THREADED_DISPATCH
-    switch ((warmHier_ ? 4 : 0) | (warmBp_ ? 2 : 0) | (dift_ ? 1 : 0)) {
-      case 0: return runImpl<false, false, false>(max_insts);
-      case 1: return runImpl<false, false, true>(max_insts);
-      case 2: return runImpl<false, true, false>(max_insts);
-      case 3: return runImpl<false, true, true>(max_insts);
-      case 4: return runImpl<true, false, false>(max_insts);
-      case 5: return runImpl<true, false, true>(max_insts);
-      case 6: return runImpl<true, true, false>(max_insts);
-      default: return runImpl<true, true, true>(max_insts);
+    switch ((warmHier_ ? 2 : 0) | (dift_ ? 1 : 0)) {
+      case 0: return runImpl<false, false>(max_insts);
+      case 1: return runImpl<false, true>(max_insts);
+      case 2: return runImpl<true, false>(max_insts);
+      default: return runImpl<true, true>(max_insts);
     }
 #else
     // Portable fallback: the oracle loop (bit-identical by definition).

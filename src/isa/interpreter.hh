@@ -144,19 +144,19 @@ class Interpreter
     void attachDift(TaintEngine *engine);
 
     /**
-     * Attach functional-warming targets (either may be null): every
-     * retired instruction then touches the hierarchy (i-fetch on line
-     * crossing, d-access per load/store/prefetch, flush per clflush)
-     * and trains the predictor with its actual outcome, matching the
-     * timing models' correct-path update rules. Warming only models
-     * non-faulting accesses — wrong-path and faulting pollution is
-     * what the detailed warm-up window after a restore is for.
+     * Attach functional-warming targets: every retired instruction
+     * then touches the hierarchy (i-fetch on line crossing, d-access
+     * per load/store/prefetch, flush per clflush) and trains the
+     * predictor with its actual outcome (PredictorUnit::warmResolved).
+     * Warming only models non-faulting accesses — wrong-path and
+     * faulting pollution is what the detailed warm-up window after a
+     * restore is for.
      */
     void
-    attachWarming(MemHierarchy *hier, PredictorUnit *bp)
+    attachWarming(MemHierarchy &hier, PredictorUnit &bp)
     {
-        warmHier_ = hier;
-        warmBp_ = bp;
+        warmHier_ = &hier;
+        warmBp_ = &bp;
     }
 
     /** Functional-warming work performed so far (lifetime totals). */
@@ -180,7 +180,7 @@ class Interpreter
      * NDASIM_THREADED_DISPATCH; run() falls back to a step() loop
      * otherwise.
      */
-    template <bool WarmHier, bool WarmBp, bool HasDift>
+    template <bool Warm, bool HasDift>
     std::uint64_t runImpl(std::uint64_t max_insts);
 
     const Program prog_;
@@ -188,8 +188,9 @@ class Interpreter
     ArchState st_;
     WarmingWork warmWork_;
     TaintEngine *dift_ = nullptr;
-    MemHierarchy *warmHier_ = nullptr;  ///< functional cache warming
-    PredictorUnit *warmBp_ = nullptr;   ///< functional predictor warming
+    // Functional warming targets: both attached, or neither.
+    MemHierarchy *warmHier_ = nullptr;
+    PredictorUnit *warmBp_ = nullptr;
 };
 
 } // namespace nda

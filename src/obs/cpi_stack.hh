@@ -4,11 +4,10 @@
  *
  * Every cycle the commit stage owns `commitWidth` retirement slots;
  * a slot either retires an instruction or is *lost* to exactly one
- * root cause found by walking the dependence chain from the blocked
- * ROB head (NDA tag-broadcast deferral by producer class, an
- * outstanding miss, a full MSHR file, squash refetch by cause, a
- * capacity limit, frontend starvation, ...). The decomposition is
- * exact by construction:
+ * cause read at the blocked ROB head (NDA tag-broadcast deferral of
+ * the producer it waits on, by producer class, an outstanding miss, a
+ * full MSHR file, squash refetch by cause, a capacity limit, frontend
+ * starvation, ...). The decomposition is exact by construction:
  *
  *     sum over causes of slots[cause] == commitWidth x cycles
  *
@@ -17,7 +16,7 @@
  * delta is explained term by term (DESIGN.md section 14).
  *
  * The profiler itself is a passive counter sink with no core
- * dependencies: the attribution walk lives in the cores (they own the
+ * dependencies: the attribution lives in the cores (they own the
  * micro-architectural state it reads), and they feed slots in through
  * addSlots() behind a null-guarded pointer — detached simulation pays
  * nothing, like the DIFT engine and the invariant checker.

@@ -11,7 +11,8 @@
  *
  * StallCause itself lives here, at the bottom of the obs profiler
  * stack, so both this aggregator and the CpiStackProfiler above it
- * share one definition; cpi_stack.hh re-exports it.
+ * share one definition; cpi_stack.hh re-exports it. So does Fig 9a's
+ * CycleClass, which is a fixed grouping of StallCause.
  */
 
 #ifndef NDASIM_OBS_HOTSPOT_PROFILER_HH
@@ -41,12 +42,12 @@ enum class StallCause : std::uint8_t {
     kSquashMemOrder,   ///< refetch after a memory-order squash
     kSquashFault,      ///< trap delivery wait + post-fault refetch
     kSquashSerialize,  ///< specon/specoff serializing refetch
-    kNdaDeferLoad,     ///< chain blocked on a deferred load producer
-    kNdaDeferAlu,      ///< chain blocked on a deferred ALU producer
-    kNdaDeferControl,  ///< chain blocked on a deferred control producer
-    kMemLatency,       ///< chain blocked on an in-flight memory access
+    kNdaDeferLoad,     ///< head waits on a deferred load producer
+    kNdaDeferAlu,      ///< head waits on a deferred ALU producer
+    kNdaDeferControl,  ///< head waits on a deferred control producer
+    kMemLatency,       ///< head is an in-flight memory access
     kMshrFull,         ///< MSHR-full structural reject (load or store)
-    kExecLatency,      ///< chain blocked on in-flight non-memory work
+    kExecLatency,      ///< head is in-flight non-memory work
     kIssueWait,        ///< ready but unselected (ports, fences, wake)
     kIqFull,           ///< dispatch blocked: issue queue capacity
     kLsqFull,          ///< dispatch blocked: LQ/SQ capacity
@@ -57,6 +58,43 @@ enum class StallCause : std::uint8_t {
 
 constexpr int kNumStallCauses =
     static_cast<int>(StallCause::kNumCauses);
+
+/** Classification of each simulated cycle (Fig 9a): the group of the
+ *  cycle's StallCause (cycleClassOf). */
+enum class CycleClass : std::uint8_t {
+    kCommit = 0,     ///< commit, idle: retired, or a window edge
+    kMemoryStall,    ///< mem_latency, mshr_full
+    kBackendStall,   ///< nda_defer_*, exec_latency, issue_wait, *_full
+    kFrontendStall,  ///< frontend, squash_*
+    kNumClasses,
+};
+
+/** The Fig 9a class each StallCause is charged to, in cause order. */
+inline constexpr CycleClass kCycleClassOf[kNumStallCauses] = {
+    CycleClass::kCommit,        // commit
+    CycleClass::kFrontendStall, // frontend
+    CycleClass::kFrontendStall, // squash_branch
+    CycleClass::kFrontendStall, // squash_mem_order
+    CycleClass::kFrontendStall, // squash_fault
+    CycleClass::kFrontendStall, // squash_serialize
+    CycleClass::kBackendStall,  // nda_defer_load
+    CycleClass::kBackendStall,  // nda_defer_alu
+    CycleClass::kBackendStall,  // nda_defer_control
+    CycleClass::kMemoryStall,   // mem_latency
+    CycleClass::kMemoryStall,   // mshr_full
+    CycleClass::kBackendStall,  // exec_latency
+    CycleClass::kBackendStall,  // issue_wait
+    CycleClass::kBackendStall,  // iq_full
+    CycleClass::kBackendStall,  // lsq_full
+    CycleClass::kBackendStall,  // rob_full
+    CycleClass::kCommit,        // idle
+};
+
+constexpr CycleClass
+cycleClassOf(StallCause c)
+{
+    return kCycleClassOf[static_cast<int>(c)];
+}
 
 /** Display name ("nda-defer-load"); never null, all values distinct. */
 const char *stallCauseName(StallCause c);

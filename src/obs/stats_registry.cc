@@ -1,7 +1,6 @@
 #include "obs/stats_registry.hh"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/log.hh"
 #include "obs/json_writer.hh"
@@ -144,64 +143,6 @@ StatsRegistry::dumpJson() const
     }
     w.endObject();
     return w.str();
-}
-
-std::string
-StatsRegistry::dumpText() const
-{
-    std::vector<const Stat *> sorted;
-    sorted.reserve(stats_.size());
-    for (const Stat &s : stats_)
-        sorted.push_back(&s);
-    std::sort(sorted.begin(), sorted.end(),
-              [](const Stat *a, const Stat *b) {
-                  return a->name < b->name;
-              });
-
-    std::string out;
-    char buf[256];
-    auto line = [&](const std::string &name, const std::string &value,
-                    const std::string &desc) {
-        std::snprintf(buf, sizeof(buf), "%-48s %16s  # %s\n",
-                      name.c_str(), value.c_str(), desc.c_str());
-        out += buf;
-    };
-    char num[64];
-    for (const Stat *s : sorted) {
-        switch (s->kind) {
-          case Kind::kCounter:
-            std::snprintf(num, sizeof(num), "%llu",
-                          static_cast<unsigned long long>(*s->counter));
-            line(s->name, num, s->desc);
-            break;
-          case Kind::kFormula:
-            std::snprintf(num, sizeof(num), "%.6g", s->formula());
-            line(s->name, num, s->desc);
-            break;
-          case Kind::kHistogram: {
-            const Histogram &h = *s->hist;
-            std::snprintf(num, sizeof(num), "%llu",
-                          static_cast<unsigned long long>(h.count()));
-            line(s->name + "::count", num, s->desc);
-            std::snprintf(num, sizeof(num), "%.6g", h.mean());
-            line(s->name + "::mean", num, s->desc);
-            static constexpr std::pair<const char *, double> kPcts[] = {
-                {"::p50", 0.50}, {"::p95", 0.95}, {"::p99", 0.99}};
-            for (const auto &[tag, q] : kPcts) {
-                std::snprintf(
-                    num, sizeof(num), "%llu",
-                    static_cast<unsigned long long>(h.percentile(q)));
-                line(s->name + tag, num, s->desc);
-            }
-            std::snprintf(
-                num, sizeof(num), "%llu",
-                static_cast<unsigned long long>(h.overflow()));
-            line(s->name + "::overflow", num, s->desc);
-            break;
-          }
-        }
-    }
-    return out;
 }
 
 } // namespace nda

@@ -3,8 +3,8 @@
  * Named statistics registry in the spirit of gem5's stats framework:
  * every stat-bearing component *binds* its existing counters into a
  * per-run registry under a hierarchical dotted name, and the registry
- * renders the whole tree on demand — as nested JSON (for manifests
- * and tooling) or as a flat gem5-style `stats.txt` listing.
+ * renders the whole tree on demand as nested JSON (for manifests and
+ * tooling).
  *
  * Registration is pointer binding only: the hot path keeps mutating
  * its own plain `std::uint64_t` members / `Histogram`s with zero
@@ -128,13 +128,6 @@ class StatsRegistry
      * Keys are sorted; histograms render via Histogram::toJson().
      */
     std::string dumpJson() const;
-
-    /**
-     * Flat gem5-style `stats.txt` listing, one line per stat:
-     * `name  value  # description`, histograms expanded into
-     * ::count/::mean/::p50/::p95/::p99 rows.
-     */
-    std::string dumpText() const;
 
   private:
     void addStat(Stat s);

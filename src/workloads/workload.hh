@@ -1,7 +1,7 @@
 /**
  * @file
  * Workload interface and registry. SPEC CPU 2017 (paper §6.1) is
- * proprietary, so the evaluation uses 14 synthetic kernels that span
+ * proprietary, so the evaluation uses 16 synthetic kernels that span
  * the same behaviour space: branch density and predictability, load
  * density, memory footprint (L1/L2/DRAM-resident), dependent-load
  * chains, and inherent ILP. Each kernel names the SPEC workload

@@ -4,8 +4,9 @@
  * obs/hotspot_profiler.hh) and its core/harness integration: the
  * exact slot-decomposition identity on every profile x workload, the
  * NDA defer-bucket causality, detached neutrality (attribution never
- * perturbs the simulation), hotspot ranking/rendering, and the
- * exhaustiveness of the cause-name tables.
+ * perturbs the simulation), Fig 9a's classes as the grouped cause,
+ * hotspot ranking/rendering, and the exhaustiveness of the cause-name
+ * tables.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/core_factory.hh"
 #include "core/ooo_core.hh"
 #include "core/perf_counters.hh"
 #include "harness/profiles.hh"
@@ -389,6 +391,42 @@ TEST(CpiStackInOrder, WidthOneIdentity)
           StallCause::kLsqFull, StallCause::kRobFull}) {
         EXPECT_EQ(w.slotStack[static_cast<int>(c)], 0u)
             << stallCauseName(c);
+    }
+}
+
+TEST(CpiStackCycleClass, EachClassIsItsCausesSlotsAtWidthOne)
+{
+    // Fig 9a's class of a cycle is the group of the cause its lost
+    // slots are charged to. At commit width 1 a cycle is one slot, so
+    // each cycle_class count must equal the slots of its causes,
+    // exactly, on every profile and both cores.
+    for (const Profile p : allProfiles()) {
+        for (const char *wl : {"ptrchase", "branchy", "mixed"}) {
+            SimConfig cfg = makeProfile(p);
+            cfg.core.commitWidth = 1;
+            const auto core = makeCore(makeWorkload(wl)->build(1), cfg);
+            CpiStackProfiler cpi(1);
+            core->attachCpiStack(&cpi);
+            ASSERT_EQ(core->run(1000), StopReason::kTarget);
+            core->resetCounters();
+            cpi.reset();
+            ASSERT_EQ(core->run(4000), StopReason::kTarget);
+
+            constexpr int kClasses =
+                static_cast<int>(CycleClass::kNumClasses);
+            std::uint64_t grouped[kClasses] = {};
+            for (int c = 0; c < kNumStallCauses; ++c) {
+                const auto cause = static_cast<StallCause>(c);
+                grouped[static_cast<int>(cycleClassOf(cause))] +=
+                    cpi.slots(cause);
+            }
+            const PerfCounters &pc = core->counters();
+            EXPECT_EQ(cpi.cycles(), pc.cycles);
+            for (int k = 0; k < kClasses; ++k) {
+                EXPECT_EQ(pc.cycleClass[k], grouped[k])
+                    << wl << " x " << profileName(p) << ", class " << k;
+            }
+        }
     }
 }
 

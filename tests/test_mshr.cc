@@ -294,7 +294,7 @@ TEST(MshrHierarchy, ZeroEntriesServeRequestsEagerly)
     StatsRegistry got_stats, want_stats;
     req.registerStats(got_stats, "mem");
     eager.registerStats(want_stats, "mem");
-    EXPECT_EQ(got_stats.dumpText(), want_stats.dumpText());
+    EXPECT_EQ(got_stats.dumpJson(), want_stats.dumpJson());
     EXPECT_TRUE(req.mshrDrained());
     for (const Mshr *file :
          {&req.mshrInst(), &req.mshrData(), &req.mshrL2()}) {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests of the observability layer: the stats registry and its JSON /
- * stats.txt dumpers, histogram merge/JSON, phase timers, the run
+ * Tests of the observability layer: the stats registry and its JSON
+ * dumper, histogram merge/JSON, phase timers, the run
  * manifest, the waterfall renderer, and the Chrome/Konata trace
  * exporters (against golden files). All JSON emitted by the layer is
  * validated with a strict in-test parser — malformed output that a
@@ -448,11 +448,6 @@ TEST(StatsRegistry, BindsAndDumpsAllThreeKinds)
     EXPECT_EQ(v.at("core").at("l1").at("hits").number, 9.0);
     EXPECT_EQ(v.at("core").at("l1").at("miss_rate").number, 0.25);
     EXPECT_EQ(v.at("core").at("lat").at("count").number, 2.0);
-
-    const std::string txt = reg.dumpText();
-    EXPECT_NE(txt.find("core.l1.hits"), std::string::npos);
-    EXPECT_NE(txt.find("core.lat::p99"), std::string::npos);
-    EXPECT_NE(txt.find("# lookups that hit"), std::string::npos);
 }
 
 TEST(StatsRegistry, GroupViewNestsPrefixes)
@@ -526,18 +521,6 @@ TEST(Histogram, ToJsonExposesOverflowCount)
     h.add(100);
     const JsonValue v = parseOrDie(h.toJson());
     EXPECT_EQ(v.at("overflow").number, 2.0);
-}
-
-TEST(StatsRegistry, DumpTextEmitsHistogramOverflowRow)
-{
-    Histogram h(4);
-    h.add(1);
-    h.add(500);
-    StatsRegistry reg;
-    reg.addHistogram("core.lat", &h, "latency");
-    const std::string text = reg.dumpText();
-    EXPECT_NE(text.find("core.lat::overflow"), std::string::npos);
-    EXPECT_NE(text.find("core.lat::p99"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------

@@ -59,13 +59,12 @@ struct Machine {
     MemHierarchy hier{HierarchyParams{}};
     PredictorUnit bp{PredictorParams{}};
 
-    Machine(const Program &prog, const SecretMap &secrets,
-            bool warm_hier, bool warm_bp, bool use_dift)
+    Machine(const Program &prog, const SecretMap &secrets, bool warm,
+            bool use_dift)
         : dift(secrets), it(prog)
     {
-        if (warm_hier || warm_bp)
-            it.attachWarming(warm_hier ? &hier : nullptr,
-                             warm_bp ? &bp : nullptr);
+        if (warm)
+            it.attachWarming(hier, bp);
         if (use_dift)
             it.attachDift(&dift);
     }
@@ -93,13 +92,12 @@ struct Machine {
  * instruction count, then require bit-identity everywhere.
  */
 void
-expectLockstep(const Program &prog, std::uint64_t total,
-               bool warm_hier, bool warm_bp, bool use_dift,
-               const char *what)
+expectLockstep(const Program &prog, std::uint64_t total, bool warm,
+               bool use_dift, const char *what)
 {
     const SecretMap secrets = secretsFor(prog);
-    Machine fast(prog, secrets, warm_hier, warm_bp, use_dift);
-    Machine oracle(prog, secrets, warm_hier, warm_bp, use_dift);
+    Machine fast(prog, secrets, warm, use_dift);
+    Machine oracle(prog, secrets, warm, use_dift);
 
     // Prime-ish chunk sizes so boundaries never align with loop
     // bodies; 1-instruction chunks stress the entry/exit path itself.
@@ -149,23 +147,22 @@ TEST(PredecodeLockstep, FuzzedProgramsFullyAttached)
         p.useRdtsc = (seed % 4) == 1;
         p.callChainDepth = static_cast<unsigned>(seed % 5);
         const Program prog = generateRandomProgram(seed, p);
-        expectLockstep(prog, 2'000'000, true, true, true,
+        expectLockstep(prog, 2'000'000, true, true,
                        ("fuzz seed " + std::to_string(seed)).c_str());
     }
 }
 
 // --------------------------------------------------------------------------
-// Specialization matrix: all eight runImpl instantiations
+// Specialization matrix: all four runImpl instantiations
 // --------------------------------------------------------------------------
 
 TEST(PredecodeLockstep, AttachmentMatrix)
 {
     const Program prog = generateRandomProgram(42, RandomProgramParams{});
-    for (int mask = 0; mask < 8; ++mask) {
-        const bool warm_hier = (mask & 4) != 0;
-        const bool warm_bp = (mask & 2) != 0;
+    for (int mask = 0; mask < 4; ++mask) {
+        const bool warm = (mask & 2) != 0;
         const bool use_dift = (mask & 1) != 0;
-        expectLockstep(prog, 500'000, warm_hier, warm_bp, use_dift,
+        expectLockstep(prog, 500'000, warm, use_dift,
                        ("attachment mask " + std::to_string(mask)).c_str());
     }
 }
@@ -179,7 +176,7 @@ TEST(PredecodeLockstep, WorkloadPrograms)
     for (const char *name : {"hashjoin", "ptrchase", "branchy", "mixed"}) {
         const auto w = makeWorkload(name);
         ASSERT_NE(w, nullptr) << name;
-        expectLockstep(w->build(7), 300'000, true, true, true, name);
+        expectLockstep(w->build(7), 300'000, true, true, name);
     }
 }
 
@@ -240,7 +237,7 @@ TEST(PredecodeLockstep, FaultRedirectMatchesStep)
     b.faultHandlerAt(handler);
     const Program prog = b.build();
 
-    expectLockstep(prog, 100, true, true, false, "fault redirect");
+    expectLockstep(prog, 100, true, false, "fault redirect");
 
     Interpreter it(prog);
     it.run(100);
@@ -307,7 +304,7 @@ TEST(MsrOutOfRange, InterpreterFaults)
     for (std::int64_t idx : {9, 40}) {
         for (bool write : {false, true}) {
             const Program prog = msrProbeProgram(idx, write);
-            expectLockstep(prog, 100, true, true, true, "msr oob");
+            expectLockstep(prog, 100, true, true, "msr oob");
 
             Interpreter it(prog);
             it.run(100);

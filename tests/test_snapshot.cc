@@ -49,7 +49,7 @@ TEST(ArchStateSnapshot, InterpreterResumeIsBitExact)
     Interpreter a(prog);
     MemHierarchy hier_a;
     PredictorUnit bp_a;
-    a.attachWarming(&hier_a, &bp_a);
+    a.attachWarming(hier_a, bp_a);
     a.attachDift(&dift_a);
     a.run(10'000);
     ASSERT_FALSE(a.halted());
@@ -59,7 +59,7 @@ TEST(ArchStateSnapshot, InterpreterResumeIsBitExact)
     Interpreter b(prog);
     MemHierarchy hier_b;
     PredictorUnit bp_b;
-    b.attachWarming(&hier_b, &bp_b);
+    b.attachWarming(hier_b, bp_b);
     b.attachDift(&dift_b);
     b.run(4'000);
     const ArchState mid = b.save();
@@ -73,7 +73,7 @@ TEST(ArchStateSnapshot, InterpreterResumeIsBitExact)
     Interpreter c(prog);
     MemHierarchy hier_c;
     PredictorUnit bp_c;
-    c.attachWarming(&hier_c, &bp_c);
+    c.attachWarming(hier_c, bp_c);
     c.attachDift(&dift_c);
     c.restore(mid);
     hier_c.restore(mid_mem);
@@ -97,7 +97,7 @@ TEST(ArchStateSnapshot, InterpreterResumeIsBitExact)
     PredictorUnit bp_d;
     hier_d.restore(mid_mem);
     bp_d.restore(mid_bp);
-    d.attachWarming(&hier_d, &bp_d);
+    d.attachWarming(hier_d, bp_d);
     d.attachDift(&dift_d);
     EXPECT_TRUE(d.save() == mid);
     d.run(6'000);
