@@ -25,7 +25,7 @@
 #include "core/ooo_core.hh"
 #include "debug/pipe_trace.hh"
 #include "harness/runner.hh"
-#include "obs/cpi_stack.hh"
+#include "obs/hotspot_profiler.hh"
 #include "obs/run_manifest.hh"
 #include "obs/trace_export.hh"
 
@@ -82,10 +82,6 @@ addSampleFlags(FlagTable &t, SampleParams &p, bool *quick = nullptr)
         [&p](unsigned n) {
             p.jobs = n ? n : defaultConcurrency();
         });
-    t.flag("--cpi-stack",
-           "attach the causal CPI-stack profiler to every measured\n"
-           "window (per-cause slot attribution + per-PC hotspots)",
-           &p.cpiStack);
 }
 
 /**
@@ -329,18 +325,12 @@ emitBenchObs(BenchObs &obs, const char *bench, const SimConfig &cfg,
         start = buildWarmCheckpoint(prog, cfg.memory, cfg.core.predictor,
                                     sp.fastforwardInsts);
     }
+    HotspotProfiler hotspots; // attached below; outlives the core
     const auto core =
         makeCore(prog, cfg, sp.fastforwardInsts > 0 ? &start : nullptr);
 
     StatsRegistry reg;
     core->registerStats(reg, "core");
-
-    // The instrumented window always carries the CPI-stack profiler:
-    // its slot decomposition belongs in every manifest (and keeps the
-    // manifest's stats dump congruent with the registry schema).
-    CpiStackProfiler cpi(cfg.inOrder ? 1u : cfg.core.commitWidth);
-    core->attachCpiStack(&cpi);
-    cpi.registerStats(reg, "core.cpi_stack");
 
     PipeTrace trace;
     if (obs.wantTrace()) {
@@ -357,8 +347,9 @@ emitBenchObs(BenchObs &obs, const char *bench, const SimConfig &cfg,
         ScopedTimer timer(obs.timings, "instrumented-window");
         core->run(sp.warmupInsts, ~Cycle{0});
         core->resetCounters();
-        cpi.reset();
         trace.clear();
+        // Where the measured window's lost slots went, by PC.
+        core->attachHotspots(&hotspots);
         core->run(sp.measureInsts, ~Cycle{0});
     }
 
@@ -394,8 +385,7 @@ emitBenchObs(BenchObs &obs, const char *bench, const SimConfig &cfg,
         pct("dispatch_to_issue", pcs.dispatchToIssue);
         pct("deferred_delay", pcs.deferredBroadcastDelay);
         pct("unsafe_residency", pcs.unsafeResidency);
-        // Where the window's lost slots went, by PC.
-        m.setRaw("cpi_hotspots", cpi.hotspots().topJson(kHotspotTopN));
+        m.setRaw("cpi_hotspots", hotspots.topJson(kHotspotTopN));
         if (obs.wantTrace()) {
             m.set("trace_out", obs.traceOut);
             m.set("trace_format", traceFormatName(obs.traceFormat));

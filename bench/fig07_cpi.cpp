@@ -6,12 +6,13 @@
  * measurement (paper §6.1). Ends with the geomean row and the
  * headline gap-closure claims of the abstract.
  *
- * With --cpi-stack the same grid also carries the causal CPI-stack
- * profiler: every cell's slot decomposition is identity-checked
- * (sum of cause buckets == width x cycles, exactly), an attribution
- * table explains each profile's aggregate CPI term by term, and the
- * per-cell stacks export as a tidy CSV (--stack-csv=) plus a
- * flamegraph-ready collapsed-stack file (--stack-out=).
+ * Every cell also carries its causal CPI stack: each cell's slot
+ * decomposition is identity-checked (sum of cause buckets == width x
+ * cycles, exactly), an attribution table explains each profile's
+ * aggregate CPI term by term, and the per-cell stacks export as a
+ * tidy CSV (--stack-csv=) plus, with per-PC hotspot tables attached
+ * to the windows, a flamegraph-ready collapsed-stack file
+ * (--stack-out=).
  */
 
 #include <cstdio>
@@ -43,26 +44,19 @@ main(int argc, char **argv)
     flags.text("--csv", "F", "write the normalized CPI table as CSV",
                &csv_path);
     addMshrFlag(flags, &mshr_entries);
-    flags.text("--stack-csv", "F",
-               "write per-cell CPI stacks as a tidy CSV\n"
-               "(implies --cpi-stack)",
+    flags.text("--stack-csv", "F", "write per-cell CPI stacks as a tidy CSV",
                &stack_csv_path);
     flags.text("--stack-out", "F",
                "write collapsed-stack hotspots for flamegraphs\n"
-               "(implies --cpi-stack)",
+               "(attaches a per-PC hotspot table to every window)",
                &stack_out_path);
     smt.addFlags(flags);
     ckpt.addFlags(flags);
     obs.addFlags(flags);
     flags.parseOrExit(argc, argv);
     sp.validate();
+    sp.hotspots = !stack_out_path.empty();
 
-    // The stack exports are meaningless without the profiler; asking
-    // for one opts the grid in rather than silently emitting zeros.
-    if ((!stack_csv_path.empty() || !stack_out_path.empty()) &&
-        !sp.cpiStack) {
-        sp.cpiStack = true;
-    }
     printBanner("Figure 7: normalized CPI, all profiles x all "
                 "workloads (95% CI over " +
                 std::to_string(sp.samples) + " samples, " +
@@ -177,153 +171,108 @@ main(int argc, char **argv)
                 "%.1fx\n",
                 in_order / full);
 
-    // ---- CPI-stack attribution (--cpi-stack) -------------------------
-    std::string stacks_json;
-    if (sp.cpiStack) {
-        // Every cell must close the slot identity exactly — the
-        // aggregated mean keeps slotStack and cycles as sums over
-        // samples, so any residue is an attribution bug, not rounding.
+    // ---- CPI-stack attribution -------------------------------------
+    // Every cell must close the slot identity exactly — the
+    // aggregated mean keeps slotStack and cycles as sums over
+    // samples, so any residue is an attribution bug, not rounding.
+    for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
+        for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
+            const RunResult &r = grid[wi * profiles.size() + pi];
+            std::uint64_t accounted = 0;
+            for (const std::uint64_t s : r.mean.slotStack)
+                accounted += s;
+            const std::uint64_t total =
+                static_cast<std::uint64_t>(r.mean.slotWidth) *
+                r.mean.cycles;
+            NDA_ASSERT(accounted == total,
+                       "CPI-stack identity broken on %s x %s: "
+                       "%llu accounted != %llu slots",
+                       workloads[wi]->name().c_str(),
+                       profileName(profiles[pi]),
+                       static_cast<unsigned long long>(accounted),
+                       static_cast<unsigned long long>(total));
+        }
+    }
+
+    // Pooled attribution per profile: contribution of cause c is
+    // slots_c / (width x insts), so each column sums exactly to
+    // that profile's pooled CPI — the figure's bars, explained.
+    std::vector<PooledCpi> pooled;
+    for (std::size_t pi = 0; pi < profiles.size(); ++pi)
+        pooled.push_back(pooledCpi(grid, profiles.size(), pi));
+    std::printf("\nCPI attribution (cycles/inst, workloads "
+                "pooled; columns sum to pooled CPI):\n");
+    std::vector<std::string> shdr{"cause"};
+    for (Profile p : profiles)
+        shdr.push_back(profileName(p));
+    TablePrinter stack_table(shdr);
+    for (int c = 0; c < kNumStallCauses; ++c) {
+        bool any = false;
+        for (std::size_t pi = 0; pi < profiles.size(); ++pi)
+            any = any || pooled[pi].contrib[c] > 0.0;
+        if (!any)
+            continue;
+        std::vector<std::string> row{
+            stallCauseName(static_cast<StallCause>(c))};
+        for (std::size_t pi = 0; pi < profiles.size(); ++pi)
+            row.push_back(TablePrinter::fmt(pooled[pi].contrib[c], 3));
+        stack_table.addRow(row);
+    }
+    std::vector<std::string> cpi_row{"CPI (sum)"};
+    for (std::size_t pi = 0; pi < profiles.size(); ++pi)
+        cpi_row.push_back(TablePrinter::fmt(pooled[pi].cpi, 3));
+    stack_table.addRow(cpi_row);
+    stack_table.print();
+
+    // Tidy per-(cell, cause) export for external pivoting; every
+    // cause is emitted (zeros included) so a consumer can re-check
+    // the slot identity from the file alone.
+    if (!stack_csv_path.empty()) {
+        CsvWriter scsv(stack_csv_path);
+        scsv.row({"workload", "profile", "width", "cycles", "insts",
+                  "cause", "slots", "slot_frac", "cpi_contrib"});
         for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
             for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
                 const RunResult &r = grid[wi * profiles.size() + pi];
-                std::uint64_t accounted = 0;
-                for (const std::uint64_t s : r.mean.slotStack)
-                    accounted += s;
-                const std::uint64_t total =
-                    static_cast<std::uint64_t>(r.mean.slotWidth) *
-                    r.mean.cycles;
-                NDA_ASSERT(accounted == total,
-                           "CPI-stack identity broken on %s x %s: "
-                           "%llu accounted != %llu slots",
-                           workloads[wi]->name().c_str(),
-                           profileName(profiles[pi]),
-                           static_cast<unsigned long long>(accounted),
-                           static_cast<unsigned long long>(total));
-            }
-        }
-
-        // Pooled attribution per profile: contribution of cause c is
-        // slots_c / (width x insts), so each column sums exactly to
-        // that profile's pooled CPI — the figure's bars, explained.
-        std::vector<PooledCpi> pooled;
-        for (std::size_t pi = 0; pi < profiles.size(); ++pi)
-            pooled.push_back(pooledCpi(grid, profiles.size(), pi));
-        std::printf("\nCPI attribution (cycles/inst, workloads "
-                    "pooled; columns sum to pooled CPI):\n");
-        std::vector<std::string> shdr{"cause"};
-        for (Profile p : profiles)
-            shdr.push_back(profileName(p));
-        TablePrinter stack_table(shdr);
-        for (int c = 0; c < kNumStallCauses; ++c) {
-            bool any = false;
-            for (std::size_t pi = 0; pi < profiles.size(); ++pi)
-                any = any || pooled[pi].contrib[c] > 0.0;
-            if (!any)
-                continue;
-            std::vector<std::string> row{
-                stallCauseName(static_cast<StallCause>(c))};
-            for (std::size_t pi = 0; pi < profiles.size(); ++pi)
-                row.push_back(TablePrinter::fmt(pooled[pi].contrib[c], 3));
-            stack_table.addRow(row);
-        }
-        std::vector<std::string> cpi_row{"CPI (sum)"};
-        for (std::size_t pi = 0; pi < profiles.size(); ++pi)
-            cpi_row.push_back(TablePrinter::fmt(pooled[pi].cpi, 3));
-        stack_table.addRow(cpi_row);
-        stack_table.print();
-
-        // Tidy per-(cell, cause) export for external pivoting; every
-        // cause is emitted (zeros included) so a consumer can re-check
-        // the slot identity from the file alone.
-        if (!stack_csv_path.empty()) {
-            CsvWriter scsv(stack_csv_path);
-            scsv.row({"workload", "profile", "width", "cycles",
-                      "insts", "cause", "slots", "slot_frac",
-                      "cpi_contrib"});
-            for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-                for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-                    const RunResult &r =
-                        grid[wi * profiles.size() + pi];
-                    const double total =
-                        static_cast<double>(r.mean.slotWidth) *
-                        static_cast<double>(r.mean.cycles);
-                    const double den =
-                        static_cast<double>(r.mean.slotWidth) *
-                        static_cast<double>(r.mean.instructions);
-                    for (int c = 0; c < kNumStallCauses; ++c) {
-                        const double s = static_cast<double>(
-                            r.mean.slotStack[c]);
-                        scsv.row(
-                            {workloads[wi]->name(),
-                             profileName(profiles[pi]),
-                             std::to_string(r.mean.slotWidth),
-                             std::to_string(r.mean.cycles),
-                             std::to_string(r.mean.instructions),
-                             stallCauseName(
-                                 static_cast<StallCause>(c)),
-                             std::to_string(r.mean.slotStack[c]),
-                             CsvWriter::num(total ? s / total : 0.0,
-                                            6),
-                             CsvWriter::num(den ? s / den : 0.0,
-                                            6)});
-                    }
-                }
-            }
-            NDA_INFORM("wrote %s", stack_csv_path.c_str());
-        }
-
-        // Collapsed-stack hotspots: one frame stack per
-        // (workload, profile, pc, cause) — flamegraph.pl/speedscope
-        // input.
-        if (!stack_out_path.empty()) {
-            std::string folded;
-            for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-                for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-                    const RunResult &r =
-                        grid[wi * profiles.size() + pi];
-                    HotspotProfiler hp;
-                    for (const HotspotEntry &e : r.mean.hotspots)
-                        hp.mergeEntry(e);
-                    folded += hp.renderCollapsed(
-                        workloads[wi]->name() + ";" +
-                        profileName(profiles[pi]));
-                }
-            }
-            writeBenchFile(stack_out_path, folded);
-        }
-
-        // Per-cell stacks for the run manifest (compact JSON).
-        JsonWriter jw(false);
-        jw.beginArray();
-        for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
-            for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
-                const RunResult &r = grid[wi * profiles.size() + pi];
-                jw.beginObject();
-                jw.key("workload");
-                jw.value(workloads[wi]->name());
-                jw.key("profile");
-                jw.value(profileName(profiles[pi]));
-                jw.key("width");
-                jw.value(r.mean.slotWidth);
-                jw.key("cycles");
-                jw.value(r.mean.cycles);
-                jw.key("insts");
-                jw.value(r.mean.instructions);
-                jw.key("slots");
-                jw.beginObject();
+                const double total =
+                    static_cast<double>(r.mean.slotWidth) *
+                    static_cast<double>(r.mean.cycles);
+                const double den =
+                    static_cast<double>(r.mean.slotWidth) *
+                    static_cast<double>(r.mean.instructions);
                 for (int c = 0; c < kNumStallCauses; ++c) {
-                    if (!r.mean.slotStack[c])
-                        continue;
-                    jw.key(stallCauseStatName(
-                        static_cast<StallCause>(c)));
-                    jw.value(r.mean.slotStack[c]);
+                    const double s =
+                        static_cast<double>(r.mean.slotStack[c]);
+                    scsv.row({workloads[wi]->name(),
+                              profileName(profiles[pi]),
+                              std::to_string(r.mean.slotWidth),
+                              std::to_string(r.mean.cycles),
+                              std::to_string(r.mean.instructions),
+                              stallCauseName(static_cast<StallCause>(c)),
+                              std::to_string(r.mean.slotStack[c]),
+                              CsvWriter::num(total ? s / total : 0.0, 6),
+                              CsvWriter::num(den ? s / den : 0.0, 6)});
                 }
-                jw.endObject();
-                jw.endObject();
             }
         }
-        jw.endArray();
-        stacks_json = jw.str();
+        NDA_INFORM("wrote %s", stack_csv_path.c_str());
+    }
+
+    // Collapsed-stack hotspots: one frame stack per
+    // (workload, profile, pc, cause) — flamegraph.pl/speedscope input.
+    if (!stack_out_path.empty()) {
+        std::string folded;
+        for (std::size_t wi = 0; wi < workloads.size(); ++wi) {
+            for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
+                const RunResult &r = grid[wi * profiles.size() + pi];
+                HotspotProfiler hp;
+                for (const HotspotEntry &e : r.mean.hotspots)
+                    hp.mergeEntry(e);
+                folded += hp.renderCollapsed(workloads[wi]->name() + ";" +
+                                             profileName(profiles[pi]));
+            }
+        }
+        writeBenchFile(stack_out_path, folded);
     }
 
     emitBenchObs(obs, "fig07_cpi", config_for(Profile::kStrict), sp,
@@ -331,8 +280,37 @@ main(int argc, char **argv)
                      m.set("geomean_strict", geo[Profile::kStrict]);
                      m.set("geomean_in_order", in_order);
                      m.set("geomean_full_protection", full);
-                     if (!stacks_json.empty())
-                         m.setRaw("grid_cpi_stacks", stacks_json);
+                     // Per-cell stacks (compact JSON).
+                     JsonWriter jw(false);
+                     jw.beginArray();
+                     for (std::size_t i = 0; i < grid.size(); ++i) {
+                         const WindowStats &w = grid[i].mean;
+                         jw.beginObject();
+                         jw.key("workload");
+                         jw.value(workloads[i / profiles.size()]->name());
+                         jw.key("profile");
+                         jw.value(profileName(
+                             profiles[i % profiles.size()]));
+                         jw.key("width");
+                         jw.value(w.slotWidth);
+                         jw.key("cycles");
+                         jw.value(w.cycles);
+                         jw.key("insts");
+                         jw.value(w.instructions);
+                         jw.key("slots");
+                         jw.beginObject();
+                         for (int c = 0; c < kNumStallCauses; ++c) {
+                             if (!w.slotStack[c])
+                                 continue;
+                             jw.key(stallCauseStatName(
+                                 static_cast<StallCause>(c)));
+                             jw.value(w.slotStack[c]);
+                         }
+                         jw.endObject();
+                         jw.endObject();
+                     }
+                     jw.endArray();
+                     m.setRaw("grid_cpi_stacks", jw.str());
                      grid_stats.registerStats(reg, "harness");
                  });
     return 0;

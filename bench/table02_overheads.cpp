@@ -4,10 +4,10 @@
  * plus the InvisiSpec comparison rows, with the threat classes each
  * defeats and the measured geomean overhead versus insecure OoO.
  *
- * With --cpi-stack each mechanism's CPI delta over the baseline is
- * decomposed by root cause (pooled over workloads), printed as a
- * table and exported with --csv= — the overhead column, explained
- * term by term with zero residue.
+ * Each mechanism's CPI delta over the baseline is also decomposed by
+ * root cause (pooled over workloads), printed as a table and exported
+ * with --csv= — the overhead column, explained term by term with zero
+ * residue.
  */
 
 #include <cstdio>
@@ -46,8 +46,8 @@ main(int argc, char **argv)
                              "overhead.");
     addSampleFlags(flags, sp);
     flags.text("--csv", "F",
-               "write the overhead table as CSV (plus per-cause CPI\n"
-               "deltas with --cpi-stack)",
+               "write the overhead table and per-cause CPI deltas\n"
+               "as CSV",
                &csv_path);
     addMshrFlag(flags, &mshr_entries);
     smt.addFlags(flags);
@@ -118,70 +118,59 @@ main(int argc, char **argv)
     }
     t.print();
 
-    // ---- CPI-delta attribution (--cpi-stack) -------------------------
+    // ---- CPI-delta attribution -------------------------------------
     // Pooled per-config decomposition: contribution of cause c is
     // slots_c / (width x insts), so the per-cause deltas of each
     // mechanism vs the baseline sum *exactly* to its pooled CPI delta.
     std::vector<PooledCpi> pooled;
-    if (sp.cpiStack) {
-        for (std::size_t ci = 0; ci < ncfg; ++ci)
-            pooled.push_back(pooledCpi(grid, ncfg, ci));
-        std::printf("\nCPI-delta attribution vs OoO (cycles/inst, "
-                    "workloads pooled;\ncolumns sum to the pooled CPI "
-                    "delta):\n");
-        std::vector<std::string> dhdr{"cause"};
-        for (const RowSpec &row : rows)
-            dhdr.push_back(profileName(row.profile));
-        TablePrinter dt(dhdr);
-        for (int c = 0; c < kNumStallCauses; ++c) {
-            bool any = false;
-            for (std::size_t r = 0; r < std::size(rows); ++r)
-                any = any ||
-                      pooled[r + 1].contrib[c] != pooled[0].contrib[c];
-            if (!any)
-                continue;
-            std::vector<std::string> drow{
-                stallCauseName(static_cast<StallCause>(c))};
-            for (std::size_t r = 0; r < std::size(rows); ++r)
-                drow.push_back(TablePrinter::fmt(
-                    pooled[r + 1].contrib[c] - pooled[0].contrib[c], 3));
-            dt.addRow(drow);
-        }
-        std::vector<std::string> dsum{"dCPI (sum)"};
+    for (std::size_t ci = 0; ci < ncfg; ++ci)
+        pooled.push_back(pooledCpi(grid, ncfg, ci));
+    std::printf("\nCPI-delta attribution vs OoO (cycles/inst, "
+                "workloads pooled;\ncolumns sum to the pooled CPI "
+                "delta):\n");
+    std::vector<std::string> dhdr{"cause"};
+    for (const RowSpec &row : rows)
+        dhdr.push_back(profileName(row.profile));
+    TablePrinter dt(dhdr);
+    for (int c = 0; c < kNumStallCauses; ++c) {
+        bool any = false;
         for (std::size_t r = 0; r < std::size(rows); ++r)
-            dsum.push_back(TablePrinter::fmt(
-                pooled[r + 1].cpi - pooled[0].cpi, 3));
-        dt.addRow(dsum);
-        dt.print();
+            any = any || pooled[r + 1].contrib[c] != pooled[0].contrib[c];
+        if (!any)
+            continue;
+        std::vector<std::string> drow{
+            stallCauseName(static_cast<StallCause>(c))};
+        for (std::size_t r = 0; r < std::size(rows); ++r)
+            drow.push_back(TablePrinter::fmt(
+                pooled[r + 1].contrib[c] - pooled[0].contrib[c], 3));
+        dt.addRow(drow);
     }
+    std::vector<std::string> dsum{"dCPI (sum)"};
+    for (std::size_t r = 0; r < std::size(rows); ++r)
+        dsum.push_back(
+            TablePrinter::fmt(pooled[r + 1].cpi - pooled[0].cpi, 3));
+    dt.addRow(dsum);
+    dt.print();
 
     if (!csv_path.empty()) {
         CsvWriter csv(csv_path);
         std::vector<std::string> hdr{"mechanism", "overhead_paper",
-                                     "overhead_measured"};
-        if (sp.cpiStack) {
-            hdr.push_back("pooled_cpi");
-            hdr.push_back("delta_cpi");
-            for (int c = 0; c < kNumStallCauses; ++c)
-                hdr.push_back(std::string("delta_") +
-                              stallCauseStatName(
-                                  static_cast<StallCause>(c)));
-        }
+                                     "overhead_measured", "pooled_cpi",
+                                     "delta_cpi"};
+        for (int c = 0; c < kNumStallCauses; ++c)
+            hdr.push_back(std::string("delta_") +
+                          stallCauseStatName(static_cast<StallCause>(c)));
         csv.row(hdr);
         for (std::size_t r = 0; r < std::size(rows); ++r) {
             std::vector<std::string> line{
                 profileName(rows[r].profile),
                 CsvWriter::num(rows[r].paperOverhead, 4),
-                CsvWriter::num(overheads[r], 4)};
-            if (sp.cpiStack) {
-                line.push_back(CsvWriter::num(pooled[r + 1].cpi, 6));
+                CsvWriter::num(overheads[r], 4),
+                CsvWriter::num(pooled[r + 1].cpi, 6),
+                CsvWriter::num(pooled[r + 1].cpi - pooled[0].cpi, 6)};
+            for (int c = 0; c < kNumStallCauses; ++c)
                 line.push_back(CsvWriter::num(
-                    pooled[r + 1].cpi - pooled[0].cpi, 6));
-                for (int c = 0; c < kNumStallCauses; ++c)
-                    line.push_back(CsvWriter::num(
-                        pooled[r + 1].contrib[c] - pooled[0].contrib[c],
-                        6));
-            }
+                    pooled[r + 1].contrib[c] - pooled[0].contrib[c], 6));
             csv.row(line);
         }
         NDA_INFORM("wrote %s", csv_path.c_str());

@@ -21,7 +21,7 @@ struct Program;
 struct SimSnapshot;
 class TaintEngine;
 class InvariantChecker;
-class CpiStackProfiler;
+class HotspotProfiler;
 
 /** Why CoreBase::run returned. */
 enum class StopReason : std::uint8_t {
@@ -59,12 +59,16 @@ class CoreBase
     void attachChecker(InvariantChecker *checker) { checker_ = checker; }
 
     /**
-     * Attach the causal CPI-stack profiler (obs/cpi_stack.hh): the
-     * core feeds it one attribution per commit slot per cycle. Every
-     * hook is null-guarded, so detached simulation pays nothing; the
-     * default is a no-op for cores that do not attribute.
+     * Attach a per-PC hotspot table (obs/hotspot_profiler.hh): every
+     * commit slot the core charges to counters().slots is also
+     * recorded at its root PC. Null-guarded, so detached simulation
+     * pays nothing.
      */
-    virtual void attachCpiStack(CpiStackProfiler *p) { (void)p; }
+    void attachHotspots(HotspotProfiler *p) { hotspots_ = p; }
+
+    /** Commit slots per cycle the CPI stack (counters().slots) is
+     *  charged against. */
+    virtual unsigned slotWidth() const = 0;
 
     /**
      * Taint of the committed architectural register `r` under the
@@ -136,14 +140,16 @@ class CoreBase
     /**
      * Bind every stat this core exposes into `reg` under `prefix`
      * (obs/stats_registry.hh). Pointer binding only — no effect on
-     * simulation speed. The base binds the perf counters and the
-     * cache hierarchy; micro-architected cores override to add their
-     * predictor/queue/regfile structures.
+     * simulation speed. The base binds the perf counters, their CPI
+     * stack and the cache hierarchy; micro-architected cores override
+     * to add their predictor/queue/regfile structures.
      */
     virtual void
     registerStats(StatsRegistry &reg, const std::string &prefix)
     {
         counters().registerStats(reg, prefix + ".perf");
+        counters().registerCpiStack(reg, prefix + ".cpi_stack",
+                                    slotWidth());
         hierarchy().registerStats(reg, prefix + ".mem");
     }
 
@@ -159,6 +165,7 @@ class CoreBase
      *  a core that commits several per cycle stops exactly here. */
     std::uint64_t commitTarget_ = ~std::uint64_t{0};
     InvariantChecker *checker_ = nullptr; ///< usually absent
+    HotspotProfiler *hotspots_ = nullptr; ///< usually absent
 };
 
 } // namespace nda

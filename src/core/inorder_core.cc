@@ -3,7 +3,7 @@
 #include "common/log.hh"
 #include "core/snapshot.hh"
 #include "dift/taint_engine.hh"
-#include "obs/cpi_stack.hh"
+#include "obs/hotspot_profiler.hh"
 
 namespace nda {
 
@@ -64,10 +64,9 @@ void
 InOrderCore::accountCycle(StallCause cause, Addr pc)
 {
     ++counters_.cycleClass[static_cast<int>(cycleClassOf(cause))];
-    if (cpiStack_) {
-        cpiStack_->onCycle();
-        cpiStack_->addSlots(cause, 1, pc);
-    }
+    ++counters_.slots[static_cast<int>(cause)];
+    if (hotspots_)
+        hotspots_->record(pc, cause, 1);
 }
 
 TaintWord

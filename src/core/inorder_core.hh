@@ -59,10 +59,7 @@ class InOrderCore : public CoreBase
 
     /** CPI stack: width 1, so each cycle is one slot — a commit, or a
      *  stall charged to the instruction paying its latency. */
-    void attachCpiStack(CpiStackProfiler *p) override
-    {
-        cpiStack_ = p;
-    }
+    unsigned slotWidth() const override { return 1; }
 
     TaintWord archRegTaint(RegId r) const override;
 
@@ -73,7 +70,7 @@ class InOrderCore : public CoreBase
     /** Execute one instruction; returns its total cycle cost. */
     Cycle step();
     /** Charge this cycle's one slot to `cause`, paid for by `pc`: the
-     *  Fig 9a class, and the CPI stack when attached. */
+     *  Fig 9a class, the CPI stack, and the hotspots when attached. */
     void accountCycle(StallCause cause, Addr pc);
 
     Interpreter interp_;
@@ -86,7 +83,6 @@ class InOrderCore : public CoreBase
     /** Line of the last i-fetch, carried in ArchState::lastFetchLine. */
     Addr lastFetchLine_ = ~Addr{0};
     TaintEngine *dift_ = nullptr;
-    CpiStackProfiler *cpiStack_ = nullptr; ///< usually absent
     Addr stallPc_ = 0; ///< pc whose latency busyUntil_ is paying
 
     PerfCounters counters_;

@@ -9,7 +9,6 @@
 #include "dift/taint_engine.hh"
 #include "fuzz/invariant_checker.hh"
 #include "isa/interpreter.hh"
-#include "obs/cpi_stack.hh"
 
 namespace nda {
 
@@ -423,8 +422,8 @@ OooCore::commitStage()
         ++ncommit;
         ++committed_;
         ++counters_.committedInsts;
-        if (cpiStack_)
-            cpiStack_->addSlots(StallCause::kCommit, 1, inst->pc);
+        if (hotspots_)
+            hotspots_->record(inst->pc, StallCause::kCommit, 1);
 
         if (inst->uop.op == Opcode::kHalt) {
             tc.halted = true;
@@ -478,10 +477,10 @@ OooCore::accountCycle(unsigned ncommit)
     const std::uint64_t occupied =
         edge ? 0 : std::min<std::uint64_t>(lost, tc.rob.size());
 
-    // The cause of the first lost slot, computed only where it is
-    // read: it is the cycle's cause when nothing retired.
+    // The cause of the first lost slot: the cycle's cause when
+    // nothing retired.
     SlotAttr first{StallCause::kCommit, 0};
-    if (lost && (ncommit == 0 || cpiStack_)) {
+    if (lost) {
         if (edge)
             first = {StallCause::kIdle,
                      tc.rob.empty() ? tc.fetchPc : tc.rob.front()->pc};
@@ -493,20 +492,21 @@ OooCore::accountCycle(unsigned ncommit)
     ++counters_.cycles;
     ++counters_.cycleClass[static_cast<int>(
         cycleClassOf(ncommit ? StallCause::kCommit : first.cause))];
-
-    if (!cpiStack_)
-        return;
-    cpiStack_->onCycle();
+    counters_.slots[static_cast<int>(StallCause::kCommit)] += ncommit;
     if (!lost)
         return;
+
+    const auto charge = [this](const SlotAttr &a, std::uint64_t n) {
+        counters_.slots[static_cast<int>(a.cause)] += n;
+        if (hotspots_)
+            hotspots_->record(a.pc, a.cause, n);
+    };
     // The first cause takes the occupied slots, or every lost slot at
     // a window edge or behind an empty ROB.
     const std::uint64_t n = occupied ? occupied : lost;
-    cpiStack_->addSlots(first.cause, n, first.pc);
-    if (lost > n) {
-        const SlotAttr rest = emptyCause(ptid);
-        cpiStack_->addSlots(rest.cause, lost - n, rest.pc);
-    }
+    charge(first, n);
+    if (lost > n)
+        charge(emptyCause(ptid), lost - n);
 }
 
 namespace {
@@ -607,7 +607,8 @@ OooCore::emptyCause(unsigned tid) const
         return {tc.refetchCause, tc.lastSquashPc};
     // dispatchBlock still holds *last* cycle's outcome (this runs in
     // commit, before this cycle's dispatch) — exactly the dispatch
-    // decision that produced today's ROB tail.
+    // decision that produced today's ROB tail. Dispatch sets it on
+    // every thread every cycle, the ones it skipped included.
     return {tc.dispatchBlock,
             tc.fetchQueue.empty() ? tc.fetchPc : tc.fetchQueue.front()->pc};
 }
@@ -1343,11 +1344,17 @@ void
 OooCore::dispatchStage()
 {
     // Shared rename/dispatch bandwidth, same rotation order as
-    // commit. Each thread keeps its own block reason (CPI stack).
+    // commit. Each thread keeps its own block reason (CPI stack); a
+    // thread reached after the budget is spent lost it to the
+    // co-runners ahead of it.
     unsigned budget = cfg_.core.dispatchWidth;
-    for (unsigned k = 0; k < numThreads_ && budget > 0; ++k) {
+    for (unsigned k = 0; k < numThreads_; ++k) {
         const unsigned tid = rotatedTid(k);
         ThreadContext &tc = threads_[tid];
+        if (budget == 0) {
+            tc.dispatchBlock = StallCause::kDispatchShare;
+            continue;
+        }
         tc.dispatchBlock = StallCause::kFrontend;
         while (budget > 0) {
             if (tc.fetchQueue.empty())

@@ -84,17 +84,10 @@ class OooCore : public CoreBase
      */
     void attachDift(TaintEngine *engine) override;
 
-    /**
-     * Attach the causal CPI-stack profiler. Per cycle the commit
-     * stage owns `commitWidth` slots; each one is attributed — to the
-     * retiring instruction, or to the cause of the blocked ROB head
-     * (obs/cpi_stack.hh). All hooks are null-guarded; detached
-     * simulation pays only the Fig 9a class of its stall cycles.
-     */
-    void attachCpiStack(CpiStackProfiler *p) override
-    {
-        cpiStack_ = p;
-    }
+    /** Per cycle the commit stage owns `commitWidth` slots; each is
+     *  charged to the retiring instruction or to the cause of the
+     *  blocked ROB head (accountCycle). */
+    unsigned slotWidth() const override { return cfg_.core.commitWidth; }
 
     /**
      * Test/fuzz-only: deliberately violate one micro-architectural
@@ -192,8 +185,9 @@ class OooCore : public CoreBase
          *  the head's own state cannot show (fault wait, IS-Future
          *  validation, store MSHR reject); kCommit otherwise. */
         StallCause commitBlock = StallCause::kCommit;
-        /** Why dispatch stopped renaming on its last visit (kFrontend:
-         *  nothing to rename, or the full width used). */
+        /** Why dispatch stopped renaming this thread last cycle
+         *  (kFrontend: nothing to rename, or the full width used;
+         *  kDispatchShare: a co-runner spent the width first). */
         StallCause dispatchBlock = StallCause::kFrontend;
         bool refetchPending = false; ///< squashed; refill not dispatched
         /** The refetch's slot bucket, by the squash's cause. */
@@ -279,12 +273,11 @@ class OooCore : public CoreBase
 
     /**
      * Charge one cycle in which `ncommit` instructions retired: the
-     * cycle count, the Fig 9a class, and the CPI stack's lost slots
-     * (commit slots are charged inline as instructions retire). The
-     * cycle's cause is kCommit if anything retired, else the priority
-     * thread's head or empty-slot cause; its Fig 9a class is that
-     * cause's cycleClassOf group. Runs once per tick, at the end of
-     * the commit stage.
+     * cycle count, the Fig 9a class, and every commit slot of the CPI
+     * stack. The cycle's cause is kCommit if anything retired, else
+     * the priority thread's head or empty-slot cause; its Fig 9a class
+     * is that cause's cycleClassOf group. Runs once per tick, at the
+     * end of the commit stage.
      */
     void accountCycle(unsigned ncommit);
     /** Cause of thread `tid`'s stalled ROB head: the recorded commit
@@ -351,9 +344,6 @@ class OooCore : public CoreBase
     int outstandingMisses_ = 0;
     std::function<void(const DynInst &, Cycle)> retireHook_;
     TaintEngine *dift_ = nullptr; ///< leakage oracle, usually absent
-
-    // --- CPI-stack attribution state ---------------------------------------
-    CpiStackProfiler *cpiStack_ = nullptr; ///< pooled; usually absent
 
     /** The core's only counters, pooled over hardware threads. */
     PerfCounters counters_;

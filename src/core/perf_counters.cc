@@ -110,4 +110,52 @@ PerfCounters::registerStats(StatsRegistry &reg,
                 "dispatch-to-issue latency (Fig 9d)");
 }
 
+void
+PerfCounters::registerCpiStack(StatsRegistry &reg,
+                               const std::string &prefix,
+                               unsigned width) const
+{
+    const StatsRegistry::Group g = reg.group(prefix);
+    const auto total = [this, width] {
+        return static_cast<double>(width) * static_cast<double>(cycles);
+    };
+
+    g.formula("width", [width] { return width; },
+              "commit slots per cycle the identity is defined against");
+    g.counter("cycles", &cycles, "cycles whose slots are charged");
+    g.formula("total_slots", total,
+              "width x cycles: the identity's right-hand side");
+    g.formula("unaccounted",
+              [this, total] {
+                  return total() - static_cast<double>(accountedSlots());
+              },
+              "total_slots minus all cause buckets (must be 0)");
+
+    const StatsRegistry::Group s = g.group("slots");
+    static const char *const descs[kNumStallCauses] = {
+        "slots that retired an instruction",
+        "slots lost to fetch/decode starvation (ROB empty)",
+        "slots lost refetching after branch-mispredict squashes",
+        "slots lost refetching after memory-order squashes",
+        "slots lost to trap delivery and post-fault refetch",
+        "slots lost to serializing specon/specoff refetches",
+        "slots lost behind an NDA-deferred load producer",
+        "slots lost behind an NDA-deferred ALU producer",
+        "slots lost behind an NDA-deferred control producer",
+        "slots lost behind an in-flight memory access",
+        "slots lost to MSHR-full structural rejects",
+        "slots lost behind in-flight non-memory execution",
+        "slots lost to issue-port arbitration and wakeup",
+        "slots lost to issue-queue capacity at dispatch",
+        "slots lost to LQ/SQ capacity at dispatch",
+        "slots lost to ROB/phys-reg capacity at dispatch",
+        "slots lost to a co-runner taking the dispatch width",
+        "slots at window edges with nothing to account",
+    };
+    for (int c = 0; c < kNumStallCauses; ++c) {
+        s.counter(stallCauseStatName(static_cast<StallCause>(c)),
+                  &slots[c], descs[c]);
+    }
+}
+
 } // namespace nda

@@ -1,14 +1,16 @@
 /**
  * @file
- * Performance counters for the evaluation figures: CPI, the Fig 9a
- * commit-cycle breakdown, MLP/ILP (Fig 9b/9c, following Chou et al.),
- * and dispatch-to-issue latency (Fig 9d). Supports window reset so
- * the SMARTS-style harness can warm up and then measure.
+ * Performance counters for the evaluation figures: CPI, the causal
+ * CPI stack and its Fig 9a grouping, MLP/ILP (Fig 9b/9c, following
+ * Chou et al.), and dispatch-to-issue latency (Fig 9d). Supports
+ * window reset so the SMARTS-style harness can warm up and then
+ * measure.
  */
 
 #ifndef NDASIM_CORE_PERF_COUNTERS_HH
 #define NDASIM_CORE_PERF_COUNTERS_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 
@@ -39,6 +41,14 @@ struct PerfCounters {
     /** Fig 9a: cycles by the class of their StallCause. */
     std::uint64_t cycleClass[static_cast<int>(CycleClass::kNumClasses)] =
         {};
+    /**
+     * The causal CPI stack (DESIGN.md section 14): commit slots by
+     * StallCause. Every cycle charges exactly the core's slot width
+     * (CoreBase::slotWidth), so the buckets sum to width x cycles and
+     * slots[c] / (width x committedInsts) is cause c's exact share of
+     * CPI.
+     */
+    std::array<std::uint64_t, kNumStallCauses> slots{};
 
     // Branches
     std::uint64_t condBranches = 0;
@@ -128,6 +138,17 @@ struct PerfCounters {
                             : 0.0;
     }
 
+    /** Sum of every cause bucket: width x cycles when the core
+     *  charged each cycle's slots. */
+    std::uint64_t
+    accountedSlots() const
+    {
+        std::uint64_t sum = 0;
+        for (const std::uint64_t s : slots)
+            sum += s;
+        return sum;
+    }
+
     /** Zero every counter (start of a measurement window). */
     void reset() { *this = PerfCounters{}; }
 
@@ -137,6 +158,12 @@ struct PerfCounters {
      * keeps incrementing plain members.
      */
     void registerStats(StatsRegistry &reg, const std::string &prefix) const;
+
+    /** Bind the slot stack under `prefix` (canonically
+     *  "core.cpi_stack"): one counter per cause, the cycles and
+     *  `width` it is charged against, and the identity's formulas. */
+    void registerCpiStack(StatsRegistry &reg, const std::string &prefix,
+                          unsigned width) const;
 };
 
 } // namespace nda

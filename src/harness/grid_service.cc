@@ -1,13 +1,15 @@
 #include "harness/grid_service.hh"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <set>
 #include <stdexcept>
+#include <string_view>
 
 #include "common/thread_pool.hh"
 #include "ckpt/checkpoint_store.hh"
@@ -32,10 +34,12 @@ JsonValue::find(const std::string &key) const
 namespace {
 
 /**
- * Recursive-descent JSON parser. Fail-stop like the checkpoint
- * Cursor: any malformed byte flips `ok_` and every later step is a
- * no-op, so callers check once at the end. Depth-bounded, because a
- * request line is attacker-ish input (a stray client) and a
+ * Recursive-descent parser of the JSON grammar (RFC 8259) and nothing
+ * more: no hex, signed or zero-padded numbers, no raw control
+ * characters in strings, no duplicate object keys. Fail-stop like the
+ * checkpoint Cursor: any malformed byte flips `ok_` and every later
+ * step is a no-op, so callers check once at the end. Depth-bounded,
+ * because a request line is attacker-ish input (a stray client) and a
  * 10k-bracket line must not overflow the stack.
  */
 class JsonParser
@@ -61,19 +65,21 @@ class JsonParser
     static constexpr int kMaxDepth = 32;
 
     void
-    fail(const char *what)
+    fail(const std::string &what)
     {
         if (!ok_)
             return;
         ok_ = false;
-        error_ = std::string(what) + " at byte " + std::to_string(pos_);
+        error_ = what + " at byte " + std::to_string(pos_);
     }
 
     void
     skipSpace()
     {
+        // JSON whitespace only: isspace() would also skip \v and \f.
         while (pos_ < text_.size() &&
-               std::isspace(static_cast<unsigned char>(text_[pos_]))) {
+               (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+                text_[pos_] == '\n' || text_[pos_] == '\r')) {
             ++pos_;
         }
     }
@@ -142,10 +148,15 @@ class JsonParser
         skipSpace();
         if (consume('}'))
             return;
+        std::set<std::string> keys;
         while (ok_) {
             skipSpace();
             std::string key;
             parseString(key);
+            if (ok_ && !keys.insert(key).second) {
+                fail("duplicate key '" + key + "'");
+                return;
+            }
             skipSpace();
             if (!consume(':')) {
                 fail("expected ':'");
@@ -201,6 +212,10 @@ class JsonParser
             const char c = text_[pos_++];
             if (c == '"')
                 return;
+            if (static_cast<unsigned char>(c) < 0x20) {
+                fail("raw control character in string");
+                return;
+            }
             if (c != '\\') {
                 out += c;
                 continue;
@@ -251,19 +266,51 @@ class JsonParser
         }
     }
 
+    /** Skip decimal digits; returns how many. */
+    std::size_t
+    digits()
+    {
+        const std::size_t from = pos_;
+        while (pos_ < text_.size() && text_[pos_] >= '0' &&
+               text_[pos_] <= '9') {
+            ++pos_;
+        }
+        return pos_ - from;
+    }
+
+    /** -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, checked before
+     *  strtod converts it (strtod alone also takes "0x1", "+1",
+     *  "inf"). */
     void
     parseNumber(JsonValue &out)
     {
-        const char *start = text_.c_str() + pos_;
-        char *end = nullptr;
-        const double v = std::strtod(start, &end);
-        if (end == start) {
+        const std::size_t start = pos_;
+        consume('-');
+        const bool zero = pos_ < text_.size() && text_[pos_] == '0';
+        const std::size_t int_digits = digits();
+        if (int_digits == 0) {
             fail("expected value");
             return;
         }
+        if (zero && int_digits > 1) {
+            fail("leading zero in number");
+            return;
+        }
+        if (consume('.') && digits() == 0) {
+            fail("expected digit after '.'");
+            return;
+        }
+        if (consume('e') || consume('E')) {
+            if (!consume('+'))
+                consume('-');
+            if (digits() == 0) {
+                fail("expected exponent digit");
+                return;
+            }
+        }
         out.kind = JsonValue::Kind::kNumber;
-        out.number = v;
-        pos_ += static_cast<std::size_t>(end - start);
+        out.number =
+            std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
     }
 
     const std::string &text_;
@@ -325,6 +372,12 @@ boolField(const JsonValue &req, const char *key, bool dflt)
                            "' must be a boolean"};
     return v->boolean;
 }
+
+/** Every field a request may carry (GridService's schema). */
+constexpr std::string_view kRequestFields[] = {
+    "id",      "workloads", "profiles", "fastforward", "warmup",
+    "measure", "samples",   "seed",     "jobs",        "chain",
+};
 
 /** The largest grid one request may ask for, in windows and in the
  *  simulated instructions they imply: runGrid sizes per-window slots
@@ -389,6 +442,16 @@ GridService::handleRequest(const std::string &request_line,
     std::vector<SimConfig> configs;
     std::vector<Profile> profiles;
     try {
+        for (const auto &member : req.object) {
+            if (std::find(std::begin(kRequestFields),
+                          std::end(kRequestFields),
+                          member.first) == std::end(kRequestFields))
+                throw RequestError{"unknown field '" + member.first +
+                                   "'"};
+        }
+        if (const JsonValue *v = req.find("id");
+            v && v->kind != JsonValue::Kind::kString)
+            throw RequestError{"field 'id' must be a string"};
         p.fastforwardInsts =
             uintField<std::uint64_t>(req, "fastforward", 0);
         p.warmupInsts = uintField(req, "warmup", p.warmupInsts);
@@ -399,7 +462,6 @@ GridService::handleRequest(const std::string &request_line,
         if (p.jobs == 0)
             p.jobs = defaultConcurrency();
         p.chainSamples = boolField(req, "chain", false);
-        p.cpiStack = boolField(req, "cpi_stack", false);
         if (const std::string why = p.problem(); !why.empty())
             throw RequestError{why};
 
@@ -496,35 +558,27 @@ GridService::handleRequest(const std::string &request_line,
                 w.key("samples");
                 w.value(static_cast<std::uint64_t>(
                     r.cpiSamples.size()));
-                // CPI-stack summary (requests with "cpi_stack":
-                // true): per-cause slot counts, nonzero buckets
-                // only; the slot identity holds on the full vector,
-                // so sum(slots) == slot_width x cycles exactly.
-                if (!r.mean.slotStack.empty()) {
-                    w.key("slot_width");
-                    w.value(r.mean.slotWidth);
-                    w.key("cycles");
-                    w.value(r.mean.cycles);
-                    w.key("slots");
-                    w.beginObject();
-                    for (int s = 0; s < kNumStallCauses; ++s) {
-                        if (!r.mean.slotStack[s])
-                            continue;
-                        w.key(stallCauseStatName(
-                            static_cast<StallCause>(s)));
-                        w.value(r.mean.slotStack[s]);
-                    }
-                    w.endObject();
+                // The CPI stack: per-cause slot counts, nonzero
+                // buckets only; sum(slots) == slot_width x cycles.
+                w.key("slot_width");
+                w.value(r.mean.slotWidth);
+                w.key("cycles");
+                w.value(r.mean.cycles);
+                w.key("slots");
+                w.beginObject();
+                for (int s = 0; s < kNumStallCauses; ++s) {
+                    if (!r.mean.slotStack[s])
+                        continue;
+                    w.key(stallCauseStatName(static_cast<StallCause>(s)));
+                    w.value(r.mean.slotStack[s]);
                 }
+                w.endObject();
             }));
         }
     }
 
     ++stats_.requests;
     stats_.cells += results.size();
-    stats_.ckptHits += gs.ckptHits;
-    stats_.ckptMisses += gs.ckptMisses;
-    stats_.ckptBytes += gs.ckptBytes;
 
     emit(line([&](JsonWriter &w) {
         w.key("type");

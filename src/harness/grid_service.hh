@@ -51,20 +51,21 @@ struct JsonValue {
 
 /**
  * Parse one JSON document from `text` (trailing whitespace allowed,
- * trailing garbage rejected). Returns false and fills `error` with a
- * byte-offset diagnostic on malformed input; never throws or aborts.
+ * trailing garbage rejected) by the JSON grammar exactly: hex, signed
+ * or zero-padded numbers, raw control characters in strings and
+ * duplicate object keys are errors. Returns false and fills `error`
+ * with a byte-offset diagnostic on malformed input; never throws or
+ * aborts.
  */
 bool parseJson(const std::string &text, JsonValue &out,
                std::string &error);
 
-/** Cumulative service-side totals across all requests handled. */
+/** Cumulative service-side totals across all requests handled (the
+ *  corpus keeps its own: CheckpointStore::stats). */
 struct GridServiceStats {
     std::uint64_t requests = 0;   ///< well-formed requests run
     std::uint64_t errors = 0;     ///< requests answered with an error
     std::uint64_t cells = 0;      ///< (workload, profile) cells served
-    std::uint64_t ckptHits = 0;   ///< corpus hits across requests
-    std::uint64_t ckptMisses = 0; ///< corpus misses across requests
-    std::uint64_t ckptBytes = 0;  ///< corpus bytes moved
 };
 
 /**
@@ -74,7 +75,7 @@ struct GridServiceStats {
  * same service core drives both the stdin line protocol and the unix
  * socket front end of bench/grid_server.
  *
- * Request schema (all fields optional unless noted):
+ * Request schema (every field optional):
  *
  *   {"id": "r1",                  // echoed on every response line
  *    "workloads": ["compute"],    // default: the full suite
@@ -82,13 +83,12 @@ struct GridServiceStats {
  *    "fastforward": 1000000,      // functional fast-forward / stride
  *    "warmup": 20000, "measure": 100000, "samples": 3,
  *    "seed": 1, "jobs": 0,        // jobs 0 = hardware threads
- *    "chain": false,              // chained sampling (stride mode)
- *    "cpi_stack": false}          // attach the causal CPI-stack
- *                                 // profiler to every window
+ *    "chain": false}              // chained sampling (stride mode)
  *
- * A number must be a non-negative integer that fits its field
- * exactly: below 2^32 for `samples` and `jobs`, below 2^53 for the
- * rest. A fraction or a larger value gets an error line, never a
+ * A field outside this schema, or one of the wrong type, gets an
+ * error line. A number must be a non-negative integer that fits its
+ * field exactly: below 2^32 for `samples` and `jobs`, below 2^53 for
+ * the rest. A fraction or a larger value gets an error line, never a
  * truncated or rounded value. A request whose windows (workloads x
  * profiles x samples) or implied simulated instructions exceed a
  * fixed budget also gets an error line.
@@ -97,10 +97,10 @@ struct GridServiceStats {
  *
  *   {"type":"progress","id":..,"done":N,"total":M}
  *   {"type":"cell","id":..,"workload":..,"profile":..,
- *    "cpi":..,"ci95":..,"mlp":..,"samples":N}
- *     ...plus, when the request set "cpi_stack": "slot_width",
- *     "cycles", and a "slots" object of nonzero per-cause commit-slot
- *     counts summing exactly to slot_width x cycles
+ *    "cpi":..,"ci95":..,"mlp":..,"samples":N,
+ *    "slot_width":..,"cycles":..,"slots":{..}}
+ *     ..."slots" holds the nonzero per-cause commit-slot counts of the
+ *     CPI stack, summing exactly to slot_width x cycles
  *   {"type":"done","id":..,"cells":N,"windows":N,
  *    "ckpt_hits":..,"ckpt_misses":..,"ckpt_bytes":..,
  *    "ckpt_chain_len":..,"ff_runs":..,"ff_insts":..}

@@ -12,7 +12,6 @@
 #include "core/core_factory.hh"
 #include "core/snapshot.hh"
 #include "isa/interpreter.hh"
-#include "obs/cpi_stack.hh"
 #include "obs/stats_registry.hh"
 
 namespace nda {
@@ -128,6 +127,7 @@ runWindow(const Workload &workload, const SimConfig &cfg,
     // fast-forward that halted ends the window before it starts: the
     // core is halted too, except that SMT contexts beyond thread 0
     // are not in a single-thread snapshot.
+    HotspotProfiler hotspots; // attached below; outlives the core
     std::unique_ptr<CoreBase> core;
     bool ff_halted = false;
     if (p.fastforwardInsts == 0) {
@@ -148,23 +148,15 @@ runWindow(const Workload &workload, const SimConfig &cfg,
         ++local.restores;
     }
 
-    // CPI-stack attribution, measured window only (reset below). The
-    // in-order model retires at most one instruction per cycle.
-    std::unique_ptr<CpiStackProfiler> cpi;
-    if (p.cpiStack) {
-        cpi = std::make_unique<CpiStackProfiler>(
-            cfg.inOrder ? 1u : cfg.core.commitWidth);
-        core->attachCpiStack(cpi.get());
-    }
-
     // Warm pipeline state (and, without a fast-forward, caches and
-    // predictors too) under the detailed model, then measure.
+    // predictors too) under the detailed model, then measure, with
+    // the hotspot table attached to the measured part only.
     StopReason why =
         ff_halted ? StopReason::kHalted : core->run(p.warmupInsts);
     local.warmupInsts += p.warmupInsts;
     core->resetCounters();
-    if (cpi)
-        cpi->reset();
+    if (p.hotspots)
+        core->attachHotspots(&hotspots);
     if (why == StopReason::kTarget)
         why = core->run(p.measureInsts);
     // A window that ended any other way measured nothing (run() says
@@ -195,13 +187,9 @@ runWindow(const Workload &workload, const SimConfig &cfg,
     w.condMispredictRate = c.condMispredictRate();
     w.instructions = c.committedInsts;
     w.cycles = c.cycles;
-    if (cpi) {
-        w.slotWidth = cpi->width();
-        w.slotStack.resize(kNumStallCauses);
-        for (int i = 0; i < kNumStallCauses; ++i)
-            w.slotStack[i] = cpi->slots(static_cast<StallCause>(i));
-        w.hotspots = cpi->hotspots().topN(kHotspotTopN);
-    }
+    w.slotWidth = core->slotWidth();
+    w.slotStack = c.slots;
+    w.hotspots = hotspots.topN(kHotspotTopN);
     return w;
 }
 
@@ -225,24 +213,18 @@ aggregateWindows(const std::vector<WindowStats> &windows)
         acc.cycles += w.cycles;
         // Slot stacks SUM like instructions/cycles, so the identity
         // sum(stack) == width x cycles survives aggregation exactly.
-        if (!w.slotStack.empty()) {
-            acc.slotWidth = w.slotWidth;
-            if (acc.slotStack.empty())
-                acc.slotStack.assign(kNumStallCauses, 0);
-            for (int i = 0; i < kNumStallCauses; ++i)
-                acc.slotStack[i] += w.slotStack[i];
-        }
+        acc.slotWidth = w.slotWidth;
+        for (int i = 0; i < kNumStallCauses; ++i)
+            acc.slotStack[i] += w.slotStack[i];
     }
-    if (!acc.slotStack.empty()) {
-        // Re-rank the union of the per-window top-N lists (windows in
-        // index order, so the merge is schedule-independent).
-        HotspotProfiler merged;
-        for (const WindowStats &w : windows) {
-            for (const HotspotEntry &e : w.hotspots)
-                merged.mergeEntry(e);
-        }
-        acc.hotspots = merged.topN(kHotspotTopN);
+    // Re-rank the union of the per-window top-N lists (windows in
+    // index order, so the merge is schedule-independent).
+    HotspotProfiler merged;
+    for (const WindowStats &w : windows) {
+        for (const HotspotEntry &e : w.hotspots)
+            merged.mergeEntry(e);
     }
+    acc.hotspots = merged.topN(kHotspotTopN);
     const double n = static_cast<double>(windows.size());
     acc.cpi /= n;
     acc.mlp /= n;

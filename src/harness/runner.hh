@@ -41,6 +41,7 @@
 #ifndef NDASIM_HARNESS_RUNNER_HH
 #define NDASIM_HARNESS_RUNNER_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -87,12 +88,12 @@ struct SampleParams {
      */
     bool chainSamples = false;
     /**
-     * Attach a causal CPI-stack profiler (obs/cpi_stack.hh) to every
-     * measured window and return the per-cause slot stack + top-N
-     * hotspots in WindowStats. Off by default: attribution walks the
-     * dependence chain on stall cycles, which costs simulation speed.
+     * Attach a per-PC HotspotProfiler (obs/hotspot_profiler.hh) to
+     * every measured window and return its top-N in
+     * WindowStats::hotspots. Off by default: its per-PC table costs
+     * memory and speed, unlike the slot stack every window carries.
      */
-    bool cpiStack = false;
+    bool hotspots = false;
 
     /**
      * Why these parameters cannot produce a measurement (zero
@@ -119,17 +120,18 @@ struct WindowStats {
     std::uint64_t instructions = 0;
     std::uint64_t cycles = 0;
 
-    // --- CPI stack (populated only when SampleParams::cpiStack) ----------
-    /** Commit slots per cycle the stack decomposes against (the
-     *  core's commit width; 1 for the in-order model). */
+    // --- CPI stack --------------------------------------------------------
+    /** Commit slots per cycle the stack decomposes against
+     *  (CoreBase::slotWidth). */
     unsigned slotWidth = 0;
-    /** Per-cause slot counts, indexed by StallCause; empty when the
-     *  profiler was detached. Sums exactly to slotWidth x cycles. In
-     *  an aggregated RunResult::mean this is the SUM over samples
-     *  (like instructions/cycles), keeping the identity exact. */
-    std::vector<std::uint64_t> slotStack;
+    /** Per-cause slot counts (PerfCounters::slots), indexed by
+     *  StallCause. Sums exactly to slotWidth x cycles. In an
+     *  aggregated RunResult::mean this is the SUM over samples (like
+     *  instructions/cycles), keeping the identity exact. */
+    std::array<std::uint64_t, kNumStallCauses> slotStack{};
     /** Top-N PCs by lost slots (kHotspotTopN per window; re-ranked
-     *  after merging in an aggregated mean). */
+     *  after merging in an aggregated mean); empty unless
+     *  SampleParams::hotspots. */
     std::vector<HotspotEntry> hotspots;
 };
 

@@ -27,6 +27,7 @@ stallCauseName(StallCause c)
       case StallCause::kIqFull: return "iq-full";
       case StallCause::kLsqFull: return "lsq-full";
       case StallCause::kRobFull: return "rob-full";
+      case StallCause::kDispatchShare: return "dispatch-share";
       case StallCause::kIdle: return "idle";
       case StallCause::kNumCauses: break;
     }
@@ -53,6 +54,7 @@ stallCauseStatName(StallCause c)
       case StallCause::kIqFull: return "iq_full";
       case StallCause::kLsqFull: return "lsq_full";
       case StallCause::kRobFull: return "rob_full";
+      case StallCause::kDispatchShare: return "dispatch_share";
       case StallCause::kIdle: return "idle";
       case StallCause::kNumCauses: break;
     }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Per-PC hotspot aggregation for the causal CPI stack. Every commit
- * slot the core attributes (obs/cpi_stack.hh) carries the *root* PC
+ * slot the core charges (PerfCounters::slots) carries the *root* PC
  * of its cause — the deferred producer for an NDA stall, the
  * mispredicted branch for a squash-refetch slot, the retiring
  * instruction for a commit slot — and this profiler folds those into
@@ -9,10 +9,10 @@
  * stack ("folded") text rendering that flamegraph tooling consumes
  * directly.
  *
- * StallCause itself lives here, at the bottom of the obs profiler
- * stack, so both this aggregator and the CpiStackProfiler above it
- * share one definition; cpi_stack.hh re-exports it. So does Fig 9a's
- * CycleClass, which is a fixed grouping of StallCause.
+ * StallCause itself lives here, at the bottom of the obs layer, so
+ * both this aggregator and the core's PerfCounters share one
+ * definition. So does Fig 9a's CycleClass, which is a fixed grouping
+ * of StallCause.
  */
 
 #ifndef NDASIM_OBS_HOTSPOT_PROFILER_HH
@@ -52,6 +52,7 @@ enum class StallCause : std::uint8_t {
     kIqFull,           ///< dispatch blocked: issue queue capacity
     kLsqFull,          ///< dispatch blocked: LQ/SQ capacity
     kRobFull,          ///< dispatch blocked: ROB/phys-reg capacity
+    kDispatchShare,    ///< dispatch skipped: co-runner took the width
     kIdle,             ///< window edge / halted: nothing to account
     kNumCauses,
 };
@@ -64,7 +65,8 @@ constexpr int kNumStallCauses =
 enum class CycleClass : std::uint8_t {
     kCommit = 0,     ///< commit, idle: retired, or a window edge
     kMemoryStall,    ///< mem_latency, mshr_full
-    kBackendStall,   ///< nda_defer_*, exec_latency, issue_wait, *_full
+    kBackendStall,   ///< nda_defer_*, exec_latency, issue_wait, *_full,
+                     ///< dispatch_share
     kFrontendStall,  ///< frontend, squash_*
     kNumClasses,
 };
@@ -87,6 +89,7 @@ inline constexpr CycleClass kCycleClassOf[kNumStallCauses] = {
     CycleClass::kBackendStall,  // iq_full
     CycleClass::kBackendStall,  // lsq_full
     CycleClass::kBackendStall,  // rob_full
+    CycleClass::kBackendStall,  // dispatch_share
     CycleClass::kCommit,        // idle
 };
 

@@ -6,7 +6,6 @@
 #include "fuzz/differential_fuzzer.hh"
 #include "harness/profiles.hh"
 #include "harness/runner.hh"
-#include "obs/cpi_stack.hh"
 #include "obs/stats_registry.hh"
 #include "workloads/workload.hh"
 
@@ -24,11 +23,6 @@ canonicalStatsSchema()
 
     StatsRegistry reg;
     core->registerStats(reg, "core");
-
-    // The CPI-stack profiler binds under the core it observes, as the
-    // instrumented-window path (bench_common.hh) wires it.
-    const CpiStackProfiler cpi(cfg.core.commitWidth);
-    cpi.registerStats(reg, "core.cpi_stack");
 
     TaintEngine dift{SecretMap{}};
     dift.registerStats(reg, "dift");

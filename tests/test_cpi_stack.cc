@@ -1,17 +1,18 @@
 /**
  * @file
- * Tests of the causal CPI-stack profiler (obs/cpi_stack.hh,
- * obs/hotspot_profiler.hh) and its core/harness integration: the
- * exact slot-decomposition identity on every profile x workload, the
- * NDA defer-bucket causality, detached neutrality (attribution never
- * perturbs the simulation), Fig 9a's classes as the grouped cause,
- * hotspot ranking/rendering, and the exhaustiveness of the cause-name
- * tables.
+ * Tests of the causal CPI stack (PerfCounters::slots) and the per-PC
+ * hotspot table (obs/hotspot_profiler.hh) in the cores and the
+ * harness: the exact slot-decomposition identity on every profile x
+ * workload, the NDA defer-bucket causality, the SMT dispatch-share
+ * cause, detached neutrality (the hotspot table never perturbs the
+ * simulation), Fig 9a's classes as the grouped cause, hotspot
+ * ranking/rendering, and the exhaustiveness of the cause-name tables.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -21,7 +22,7 @@
 #include "core/perf_counters.hh"
 #include "harness/profiles.hh"
 #include "harness/runner.hh"
-#include "obs/cpi_stack.hh"
+#include "obs/hotspot_profiler.hh"
 #include "obs/stats_registry.hh"
 #include "workloads/workload.hh"
 
@@ -81,44 +82,32 @@ TEST(SquashCauseNames, ExhaustiveAndDistinct)
 }
 
 // ---------------------------------------------------------------------
-// Profiler unit behavior
+// Slot counters
 // ---------------------------------------------------------------------
 
-TEST(CpiStackProfiler, SlotAccountingAndIdentity)
+TEST(CpiStackCounters, SlotAccountingAndIdentity)
 {
-    CpiStackProfiler cpi(4);
-    EXPECT_EQ(cpi.width(), 4u);
-    EXPECT_EQ(cpi.totalSlots(), 0u);
-    EXPECT_EQ(cpi.accountedSlots(), 0u);
+    PerfCounters pc;
+    EXPECT_EQ(pc.accountedSlots(), 0u);
 
-    cpi.onCycle();
-    cpi.addSlots(StallCause::kCommit, 2, 0x10);
-    cpi.addSlots(StallCause::kNdaDeferLoad, 1, 0x20);
-    cpi.addSlots(StallCause::kFrontend, 1, 0x30);
-    cpi.onCycle();
-    cpi.addSlots(StallCause::kMemLatency, 4, 0x20);
+    // Two cycles of a width-4 core.
+    pc.cycles = 2;
+    pc.slots[static_cast<int>(StallCause::kCommit)] += 2;
+    pc.slots[static_cast<int>(StallCause::kNdaDeferLoad)] += 1;
+    pc.slots[static_cast<int>(StallCause::kFrontend)] += 1;
+    pc.slots[static_cast<int>(StallCause::kMemLatency)] += 4;
+    EXPECT_EQ(pc.accountedSlots(), 4u * pc.cycles);
 
-    EXPECT_EQ(cpi.cycles(), 2u);
-    EXPECT_EQ(cpi.totalSlots(), 8u);
-    EXPECT_EQ(cpi.accountedSlots(), 8u);
-    EXPECT_EQ(cpi.slots(StallCause::kCommit), 2u);
-    EXPECT_EQ(cpi.slots(StallCause::kNdaDeferLoad), 1u);
-    EXPECT_EQ(cpi.slots(StallCause::kMemLatency), 4u);
-    EXPECT_DOUBLE_EQ(cpi.slotFraction(StallCause::kMemLatency), 0.5);
-    EXPECT_EQ(cpi.hotspots().size(), 3u);
-
-    cpi.reset();
-    EXPECT_EQ(cpi.cycles(), 0u);
-    EXPECT_EQ(cpi.accountedSlots(), 0u);
-    EXPECT_TRUE(cpi.hotspots().empty());
-    EXPECT_DOUBLE_EQ(cpi.slotFraction(StallCause::kMemLatency), 0.0);
+    pc.reset();
+    EXPECT_EQ(pc.cycles, 0u);
+    EXPECT_EQ(pc.accountedSlots(), 0u);
 }
 
-TEST(CpiStackProfiler, RegisterStatsSchema)
+TEST(CpiStackCounters, RegisterStatsSchema)
 {
-    CpiStackProfiler cpi(8);
+    PerfCounters pc;
     StatsRegistry reg;
-    cpi.registerStats(reg, "core.cpi_stack");
+    pc.registerCpiStack(reg, "core.cpi_stack", 8);
     const std::vector<std::string> names = reg.names();
     // width, cycles, total_slots, unaccounted + one slot counter per
     // cause.
@@ -133,6 +122,18 @@ TEST(CpiStackProfiler, RegisterStatsSchema)
         EXPECT_EQ(set.count("core.cpi_stack.slots." + leaf), 1u)
             << "missing slot counter for '" << leaf << "'";
     }
+
+    // The formulas read the counters they are bound to.
+    pc.cycles = 3;
+    pc.slots[static_cast<int>(StallCause::kCommit)] = 20;
+    std::map<std::string, double> formulas;
+    for (const StatsRegistry::Stat &st : reg.stats()) {
+        if (st.kind == StatsRegistry::Kind::kFormula)
+            formulas[st.name] = st.formula();
+    }
+    EXPECT_EQ(formulas["core.cpi_stack.width"], 8.0);
+    EXPECT_EQ(formulas["core.cpi_stack.total_slots"], 24.0);
+    EXPECT_EQ(formulas["core.cpi_stack.unaccounted"], 4.0);
 }
 
 TEST(HotspotProfiler, RankingAndMerge)
@@ -193,14 +194,14 @@ TEST(HotspotProfiler, CollapsedRenderDeterministic)
 
 WindowStats
 profiledWindow(const char *workload_name, Profile profile,
-               bool cpi_stack, std::uint64_t measure = 4000)
+               bool hotspots = false)
 {
     const auto workload = makeWorkload(workload_name);
     SampleParams p;
     p.warmupInsts = 1000;
-    p.measureInsts = measure;
+    p.measureInsts = 4000;
     p.samples = 1;
-    p.cpiStack = cpi_stack;
+    p.hotspots = hotspots;
     return runWindow(*workload, makeProfile(profile), 1, p);
 }
 
@@ -227,10 +228,7 @@ TEST(CpiStackIdentity, ExactAcrossProfilesAndWorkloads)
     const char *workloads[] = {"ptrchase", "branchy", "mixed"};
     for (const Profile p : profiles) {
         for (const char *wl : workloads) {
-            const WindowStats w = profiledWindow(wl, p, true);
-            ASSERT_EQ(w.slotStack.size(),
-                      static_cast<std::size_t>(kNumStallCauses))
-                << wl << " x " << profileName(p);
+            const WindowStats w = profiledWindow(wl, p);
             ASSERT_GT(w.slotWidth, 0u);
             ASSERT_GT(w.cycles, 0u);
             EXPECT_EQ(accounted(w),
@@ -251,11 +249,9 @@ TEST(CpiStackIdentity, SurvivesAggregation)
     p.warmupInsts = 1000;
     p.measureInsts = 3000;
     p.samples = 3;
-    p.cpiStack = true;
+    p.hotspots = true;
     const RunResult r =
         runSampled(*workload, makeProfile(Profile::kStrict), p);
-    ASSERT_EQ(r.mean.slotStack.size(),
-              static_cast<std::size_t>(kNumStallCauses));
     EXPECT_EQ(accounted(r.mean),
               static_cast<std::uint64_t>(r.mean.slotWidth) *
                   r.mean.cycles);
@@ -286,14 +282,56 @@ TEST(CpiStackIdentity, HoldsPerThreadAndPooledUnderSmt)
     SimConfig cfg;
     cfg.core.smtThreads = 2;
     OooCore core(prog, cfg);
-    CpiStackProfiler pooled(cfg.core.commitWidth);
-    core.attachCpiStack(&pooled);
     core.run(~std::uint64_t{0}, 400'000);
     ASSERT_TRUE(core.halted());
 
-    EXPECT_EQ(pooled.cycles(), core.cycle());
-    EXPECT_EQ(pooled.accountedSlots(), pooled.totalSlots());
-    EXPECT_EQ(pooled.slots(StallCause::kCommit), core.committedInsts());
+    const PerfCounters &pooled = core.counters();
+    EXPECT_EQ(pooled.cycles, core.cycle());
+    EXPECT_EQ(pooled.accountedSlots(),
+              static_cast<std::uint64_t>(core.slotWidth()) * pooled.cycles);
+    EXPECT_EQ(pooled.slots[static_cast<int>(StallCause::kCommit)],
+              core.committedInsts());
+}
+
+TEST(CpiStackSmt, SkippedThreadChargesDispatchShare)
+{
+    // With one dispatch slot per cycle, the thread first in rotation
+    // takes it and dispatch never reaches the other: its empty ROB
+    // slots are the co-runner's doing, charged to dispatch_share (a
+    // backend-class cause), not to whatever blocked it cycles ago. A
+    // single thread is never skipped.
+    ProgramBuilder b("smt-share");
+    b.movi(1, 0);
+    b.movi(2, 0);
+    auto loop = b.label();
+    b.addi(2, 2, 1);
+    b.add(1, 1, 2);
+    b.movi(3, 3000);
+    b.blt(2, 3, loop);
+    b.halt();
+    const Program prog = b.build();
+
+    const auto slots_of = [](const PerfCounters &pc, StallCause c) {
+        return pc.slots[static_cast<int>(c)];
+    };
+    for (const unsigned threads : {1u, 2u}) {
+        SimConfig cfg;
+        cfg.core.smtThreads = threads;
+        cfg.core.dispatchWidth = 1;
+        OooCore core(prog, cfg);
+        core.run(~std::uint64_t{0}, 400'000);
+        ASSERT_TRUE(core.halted());
+        const PerfCounters &pc = core.counters();
+        EXPECT_EQ(pc.accountedSlots(),
+                  static_cast<std::uint64_t>(core.slotWidth()) * pc.cycles);
+        if (threads == 1) {
+            EXPECT_EQ(slots_of(pc, StallCause::kDispatchShare), 0u);
+        } else {
+            EXPECT_GT(slots_of(pc, StallCause::kDispatchShare), 0u);
+        }
+    }
+    EXPECT_EQ(cycleClassOf(StallCause::kDispatchShare),
+              CycleClass::kBackendStall);
 }
 
 TEST(CpiStackCausality, DeferBucketsTrackLoadRestriction)
@@ -332,10 +370,9 @@ TEST(CpiStackDelta, ExplainsNdaOverheadExactly)
     // term by term with no unaccounted residue. With the identity
     // exact on both sides, the per-cause contribution deltas must sum
     // to the CPI delta up to float rounding only (<< 1%).
-    const WindowStats base =
-        profiledWindow("ptrchase", Profile::kOoo, true);
+    const WindowStats base = profiledWindow("ptrchase", Profile::kOoo);
     const WindowStats nda =
-        profiledWindow("ptrchase", Profile::kFullProtection, true);
+        profiledWindow("ptrchase", Profile::kFullProtection);
     ASSERT_GT(base.instructions, 0u);
     ASSERT_GT(nda.instructions, 0u);
 
@@ -355,9 +392,10 @@ TEST(CpiStackDelta, ExplainsNdaOverheadExactly)
 
 TEST(CpiStackNeutrality, DetachedRunIsBitIdentical)
 {
-    // The profiler must be a pure observer: the same window with and
-    // without attribution retires the same instructions in the same
-    // number of cycles (KIPS aside, simulated results are identical).
+    // The hotspot table must be a pure observer: the same window with
+    // and without it retires the same instructions in the same number
+    // of cycles and charges the same slot stack (KIPS aside, simulated
+    // results are identical).
     for (const Profile p :
          {Profile::kOoo, Profile::kFullProtection, Profile::kInOrder}) {
         const WindowStats with = profiledWindow("mixed", p, true);
@@ -366,17 +404,17 @@ TEST(CpiStackNeutrality, DetachedRunIsBitIdentical)
         EXPECT_EQ(with.instructions, without.instructions)
             << profileName(p);
         EXPECT_DOUBLE_EQ(with.cpi, without.cpi) << profileName(p);
-        // Detached windows carry no stack at all.
-        EXPECT_TRUE(without.slotStack.empty());
-        EXPECT_TRUE(without.hotspots.empty());
-        EXPECT_EQ(without.slotWidth, 0u);
+        EXPECT_EQ(with.slotWidth, without.slotWidth) << profileName(p);
+        EXPECT_EQ(with.slotStack, without.slotStack) << profileName(p);
+        // Only the attached window carries hotspots.
+        EXPECT_FALSE(with.hotspots.empty()) << profileName(p);
+        EXPECT_TRUE(without.hotspots.empty()) << profileName(p);
     }
 }
 
 TEST(CpiStackInOrder, WidthOneIdentity)
 {
-    const WindowStats w =
-        profiledWindow("stream", Profile::kInOrder, true);
+    const WindowStats w = profiledWindow("stream", Profile::kInOrder);
     EXPECT_EQ(w.slotWidth, 1u);
     EXPECT_EQ(accounted(w), w.cycles);
     // The blocking core commits exactly one instruction per kCommit
@@ -405,23 +443,20 @@ TEST(CpiStackCycleClass, EachClassIsItsCausesSlotsAtWidthOne)
             SimConfig cfg = makeProfile(p);
             cfg.core.commitWidth = 1;
             const auto core = makeCore(makeWorkload(wl)->build(1), cfg);
-            CpiStackProfiler cpi(1);
-            core->attachCpiStack(&cpi);
             ASSERT_EQ(core->run(1000), StopReason::kTarget);
             core->resetCounters();
-            cpi.reset();
             ASSERT_EQ(core->run(4000), StopReason::kTarget);
 
+            const PerfCounters &pc = core->counters();
             constexpr int kClasses =
                 static_cast<int>(CycleClass::kNumClasses);
             std::uint64_t grouped[kClasses] = {};
             for (int c = 0; c < kNumStallCauses; ++c) {
                 const auto cause = static_cast<StallCause>(c);
                 grouped[static_cast<int>(cycleClassOf(cause))] +=
-                    cpi.slots(cause);
+                    pc.slots[c];
             }
-            const PerfCounters &pc = core->counters();
-            EXPECT_EQ(cpi.cycles(), pc.cycles);
+            EXPECT_EQ(pc.accountedSlots(), pc.cycles);
             for (int k = 0; k < kClasses; ++k) {
                 EXPECT_EQ(pc.cycleClass[k], grouped[k])
                     << wl << " x " << profileName(p) << ", class " << k;
@@ -434,8 +469,7 @@ TEST(CpiStackSquash, BranchyWorkloadChargesSquashSlots)
 {
     // The speculative OoO core mispredicts on branchy: refetch slots
     // must attribute to the squash-branch bucket.
-    const WindowStats w =
-        profiledWindow("branchy", Profile::kOoo, true);
+    const WindowStats w = profiledWindow("branchy", Profile::kOoo);
     EXPECT_GT(
         w.slotStack[static_cast<int>(StallCause::kSquashBranch)], 0u);
 }

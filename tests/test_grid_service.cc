@@ -71,6 +71,25 @@ TEST(GridServiceJson, RejectsMalformedInput)
         "nulL",
         "{\"esc\":\"\\q\"}",
         "{\"u\":\"\\u12\"}",
+        // The JSON grammar, not strtod's: no hex, sign, padding,
+        // bare dot or exponent, infinity or NaN.
+        "0x1",
+        "+1",
+        "0100",
+        "-",
+        "1.",
+        ".5",
+        "1e",
+        "1e+",
+        "inf",
+        "NaN",
+        // A raw control character inside a string.
+        "\"a\tb\"",
+        // Duplicate keys, at the top level and nested.
+        "{\"id\":\"a\",\"id\":\"b\"}",
+        "{\"o\":{\"k\":1,\"k\":1}}",
+        // Whitespace is space, tab, LF and CR only.
+        "\v{}",
     };
     for (const char *text : bad) {
         JsonValue v;
@@ -135,6 +154,14 @@ TEST(GridService, RunsGridAndStreamsCellsThenDone)
         EXPECT_EQ(cell.find("id")->string, "t1");
         EXPECT_GT(cell.find("cpi")->number, 0.0);
         EXPECT_EQ(cell.find("samples")->number, 2.0);
+        // Every cell carries its CPI stack, closing the slot identity.
+        ASSERT_NE(cell.find("slots"), nullptr);
+        double slots = 0.0;
+        for (const auto &[cause, n] : cell.find("slots")->object)
+            slots += n.number;
+        EXPECT_GT(cell.find("cycles")->number, 0.0);
+        EXPECT_EQ(slots, cell.find("slot_width")->number *
+                             cell.find("cycles")->number);
     }
 
     const auto progress = cap.ofType("progress");
@@ -177,6 +204,14 @@ TEST(GridService, RejectsBadRequestsWithErrorLinesAndSurvives)
         {R"({"seed":1e20})", "integer"},
         {R"({"seed":9007199254740993})", "integer"},
         {R"({"measure":-1})", "non-negative number"},
+        {R"({"samples":0x1})", "bad JSON"},
+        {R"({"samples":+1})", "bad JSON"},
+        {R"({"samples":0100})", "bad JSON"},
+        {R"({"id":"a","samples":1,"id":"b"})", "duplicate key"},
+        {R"({"sampels":1})", "unknown field 'sampels'"},
+        {R"({"cpi_stak":true})", "unknown field 'cpi_stak'"},
+        {R"({"cpi_stack":true})", "unknown field 'cpi_stack'"},
+        {R"({"id":7})", "field 'id' must be a string"},
         // Over the request budget: rejected before runGrid sizes its
         // per-window slots.
         {R"({"samples":4000000000,"workloads":["crc"],)"
@@ -284,9 +319,13 @@ TEST(GridService, SharesCorpusAcrossRequestsBitIdentically)
             warm_lines.push_back(line);
     EXPECT_EQ(cold_lines, warm_lines);
 
-    EXPECT_EQ(service.stats().ckptHits,
+    // The done lines are the corpus's own counts, request by request.
+    EXPECT_EQ(store.stats().hits,
               static_cast<std::uint64_t>(
                   warm[0].find("ckpt_hits")->number));
+    EXPECT_EQ(store.stats().misses,
+              static_cast<std::uint64_t>(
+                  cold[0].find("ckpt_misses")->number));
     fs::remove_all(dir);
 }
 

@@ -4,7 +4,7 @@
  * dumper, histogram merge/JSON, phase timers, the run
  * manifest, the waterfall renderer, and the Chrome/Konata trace
  * exporters (against golden files). All JSON emitted by the layer is
- * validated with a strict in-test parser — malformed output that a
+ * validated with the strict nda::parseJson — malformed output that a
  * lenient consumer would shrug off fails here.
  */
 
@@ -12,13 +12,13 @@
 
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <vector>
 
 #include "common/histogram.hh"
 #include "core/perf_counters.hh"
+#include "harness/grid_service.hh"
 #include "obs/run_manifest.hh"
 #include "obs/scoped_timer.hh"
 #include "obs/stats_registry.hh"
@@ -29,308 +29,45 @@ namespace nda {
 namespace {
 
 // ---------------------------------------------------------------------
-// A strict JSON parser: full grammar, no extensions, duplicate object
-// keys rejected, no trailing input. Small enough to audit by eye.
+// Every document the layer emits must parse under nda::parseJson,
+// which follows the JSON grammar exactly (duplicate keys, leading
+// zeros and raw control characters are errors).
 // ---------------------------------------------------------------------
-
-struct JsonValue {
-    enum Type { kNull, kBool, kNumber, kString, kArray, kObject };
-    Type type = kNull;
-    bool boolean = false;
-    double number = 0.0;
-    std::string string;
-    std::vector<JsonValue> array;
-    std::map<std::string, JsonValue> object;
-
-    const JsonValue &
-    at(const std::string &key) const
-    {
-        static const JsonValue missing;
-        const auto it = object.find(key);
-        return it == object.end() ? missing : it->second;
-    }
-    bool has(const std::string &key) const { return object.count(key); }
-};
-
-class JsonParser
-{
-  public:
-    explicit JsonParser(std::string text) : s_(std::move(text)) {}
-
-    bool
-    parse(JsonValue &out)
-    {
-        ok_ = true;
-        pos_ = 0;
-        out = value();
-        skipWs();
-        return ok_ && pos_ == s_.size();
-    }
-
-    const std::string &error() const { return error_; }
-
-  private:
-    void
-    fail(const std::string &why)
-    {
-        if (ok_) {
-            ok_ = false;
-            error_ = why + " at offset " + std::to_string(pos_);
-        }
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < s_.size() &&
-               (s_[pos_] == ' ' || s_[pos_] == '\t' ||
-                s_[pos_] == '\n' || s_[pos_] == '\r'))
-            ++pos_;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos_ < s_.size() && s_[pos_] == c) {
-            ++pos_;
-            return true;
-        }
-        return false;
-    }
-
-    JsonValue
-    value()
-    {
-        skipWs();
-        if (pos_ >= s_.size()) {
-            fail("unexpected end of input");
-            return {};
-        }
-        const char c = s_[pos_];
-        if (c == '{')
-            return objectValue();
-        if (c == '[')
-            return arrayValue();
-        if (c == '"')
-            return stringValue();
-        if (c == 't' || c == 'f')
-            return boolValue();
-        if (c == 'n')
-            return nullValue();
-        if (c == '-' || (c >= '0' && c <= '9'))
-            return numberValue();
-        fail("unexpected character");
-        return {};
-    }
-
-    JsonValue
-    objectValue()
-    {
-        JsonValue v;
-        v.type = JsonValue::kObject;
-        consume('{');
-        if (consume('}'))
-            return v;
-        do {
-            skipWs();
-            if (pos_ >= s_.size() || s_[pos_] != '"') {
-                fail("expected object key");
-                return v;
-            }
-            const JsonValue key = stringValue();
-            if (!consume(':')) {
-                fail("expected ':'");
-                return v;
-            }
-            if (v.object.count(key.string)) {
-                fail("duplicate key '" + key.string + "'");
-                return v;
-            }
-            v.object.emplace(key.string, value());
-        } while (ok_ && consume(','));
-        if (!consume('}'))
-            fail("expected '}'");
-        return v;
-    }
-
-    JsonValue
-    arrayValue()
-    {
-        JsonValue v;
-        v.type = JsonValue::kArray;
-        consume('[');
-        if (consume(']'))
-            return v;
-        do {
-            v.array.push_back(value());
-        } while (ok_ && consume(','));
-        if (!consume(']'))
-            fail("expected ']'");
-        return v;
-    }
-
-    JsonValue
-    stringValue()
-    {
-        JsonValue v;
-        v.type = JsonValue::kString;
-        ++pos_; // opening quote
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            char c = s_[pos_++];
-            if (static_cast<unsigned char>(c) < 0x20) {
-                fail("unescaped control character in string");
-                return v;
-            }
-            if (c != '\\') {
-                v.string += c;
-                continue;
-            }
-            if (pos_ >= s_.size()) {
-                fail("dangling escape");
-                return v;
-            }
-            const char e = s_[pos_++];
-            switch (e) {
-              case '"': v.string += '"'; break;
-              case '\\': v.string += '\\'; break;
-              case '/': v.string += '/'; break;
-              case 'b': v.string += '\b'; break;
-              case 'f': v.string += '\f'; break;
-              case 'n': v.string += '\n'; break;
-              case 'r': v.string += '\r'; break;
-              case 't': v.string += '\t'; break;
-              case 'u': {
-                  unsigned code = 0;
-                  for (int i = 0; i < 4; ++i) {
-                      if (pos_ >= s_.size() ||
-                          !std::isxdigit(
-                              static_cast<unsigned char>(s_[pos_]))) {
-                          fail("bad \\u escape");
-                          return v;
-                      }
-                      code = code * 16 +
-                             (std::isdigit(static_cast<unsigned char>(
-                                  s_[pos_]))
-                                  ? s_[pos_] - '0'
-                                  : (std::tolower(s_[pos_]) - 'a') + 10);
-                      ++pos_;
-                  }
-                  // ASCII-only decode is enough for our emitters.
-                  v.string += static_cast<char>(code & 0x7F);
-                  break;
-              }
-              default: fail("unknown escape"); return v;
-            }
-        }
-        if (pos_ >= s_.size()) {
-            fail("unterminated string");
-            return v;
-        }
-        ++pos_; // closing quote
-        return v;
-    }
-
-    JsonValue
-    numberValue()
-    {
-        JsonValue v;
-        v.type = JsonValue::kNumber;
-        const std::size_t start = pos_;
-        if (pos_ < s_.size() && s_[pos_] == '-')
-            ++pos_;
-        std::size_t int_digits = 0;
-        while (pos_ < s_.size() && std::isdigit(
-                   static_cast<unsigned char>(s_[pos_]))) {
-            ++pos_;
-            ++int_digits;
-        }
-        if (int_digits == 0) {
-            fail("bad number");
-            return v;
-        }
-        // JSON forbids leading zeros like "01".
-        const std::size_t int_start =
-            s_[start] == '-' ? start + 1 : start;
-        if (int_digits > 1 && s_[int_start] == '0') {
-            fail("leading zero");
-            return v;
-        }
-        if (pos_ < s_.size() && s_[pos_] == '.') {
-            ++pos_;
-            std::size_t frac = 0;
-            while (pos_ < s_.size() && std::isdigit(
-                       static_cast<unsigned char>(s_[pos_]))) {
-                ++pos_;
-                ++frac;
-            }
-            if (frac == 0) {
-                fail("bad fraction");
-                return v;
-            }
-        }
-        if (pos_ < s_.size() && (s_[pos_] == 'e' || s_[pos_] == 'E')) {
-            ++pos_;
-            if (pos_ < s_.size() && (s_[pos_] == '+' || s_[pos_] == '-'))
-                ++pos_;
-            std::size_t exp = 0;
-            while (pos_ < s_.size() && std::isdigit(
-                       static_cast<unsigned char>(s_[pos_]))) {
-                ++pos_;
-                ++exp;
-            }
-            if (exp == 0) {
-                fail("bad exponent");
-                return v;
-            }
-        }
-        v.number = std::stod(s_.substr(start, pos_ - start));
-        return v;
-    }
-
-    JsonValue
-    boolValue()
-    {
-        JsonValue v;
-        v.type = JsonValue::kBool;
-        if (s_.compare(pos_, 4, "true") == 0) {
-            v.boolean = true;
-            pos_ += 4;
-        } else if (s_.compare(pos_, 5, "false") == 0) {
-            v.boolean = false;
-            pos_ += 5;
-        } else {
-            fail("bad literal");
-        }
-        return v;
-    }
-
-    JsonValue
-    nullValue()
-    {
-        JsonValue v;
-        if (s_.compare(pos_, 4, "null") == 0)
-            pos_ += 4;
-        else
-            fail("bad literal");
-        return v;
-    }
-
-    const std::string s_;
-    std::size_t pos_ = 0;
-    bool ok_ = true;
-    std::string error_;
-};
 
 JsonValue
 parseOrDie(const std::string &text)
 {
-    JsonParser p(text);
     JsonValue v;
-    EXPECT_TRUE(p.parse(v))
-        << p.error() << "\ninput was:\n"
+    std::string error;
+    EXPECT_TRUE(parseJson(text, v, error))
+        << error << "\ninput was:\n"
         << text.substr(0, 2000);
     return v;
+}
+
+/** Member `key` of object `v`; a missing member fails the test and
+ *  reads as null. */
+const JsonValue &
+at(const JsonValue &v, const std::string &key)
+{
+    static const JsonValue missing;
+    const JsonValue *m = v.find(key);
+    EXPECT_NE(m, nullptr) << "missing key '" << key << "'";
+    return m ? *m : missing;
+}
+
+/** at(at(v, key), rest...): a member path. */
+template <class... Keys>
+const JsonValue &
+at(const JsonValue &v, const std::string &key, const Keys &...rest)
+{
+    return at(at(v, key), rest...);
+}
+
+bool
+has(const JsonValue &v, const std::string &key)
+{
+    return v.find(key) != nullptr;
 }
 
 std::string
@@ -407,9 +144,9 @@ TEST(StrictJson, AcceptsValidDocuments)
     for (const char *doc :
          {"{}", "[]", "[1, 2.5, -3e2, \"x\", true, null]",
           R"({"a": {"b": [0.5]}, "c": "\n\t\" A"})"}) {
-        JsonParser p(doc);
         JsonValue v;
-        EXPECT_TRUE(p.parse(v)) << doc << ": " << p.error();
+        std::string error;
+        EXPECT_TRUE(parseJson(doc, v, error)) << doc << ": " << error;
     }
 }
 
@@ -418,10 +155,10 @@ TEST(StrictJson, RejectsMalformedDocuments)
     for (const char *doc :
          {"{", "{} extra", "[1,]", "{\"a\":1,\"a\":2}", "01",
           "{\"a\"}", "\"unterminated", "[1 2]", "nul", "1.",
-          "\"bad\\q\""}) {
-        JsonParser p(doc);
+          "\"bad\\q\"", "\"raw\nnewline\""}) {
         JsonValue v;
-        EXPECT_FALSE(p.parse(v)) << "accepted: " << doc;
+        std::string error;
+        EXPECT_FALSE(parseJson(doc, v, error)) << "accepted: " << doc;
     }
 }
 
@@ -445,9 +182,9 @@ TEST(StatsRegistry, BindsAndDumpsAllThreeKinds)
     // Pointer binding: a later mutation is visible at dump time.
     hits = 9;
     const JsonValue v = parseOrDie(reg.dumpJson());
-    EXPECT_EQ(v.at("core").at("l1").at("hits").number, 9.0);
-    EXPECT_EQ(v.at("core").at("l1").at("miss_rate").number, 0.25);
-    EXPECT_EQ(v.at("core").at("lat").at("count").number, 2.0);
+    EXPECT_EQ(at(v, "core", "l1", "hits").number, 9.0);
+    EXPECT_EQ(at(v, "core", "l1", "miss_rate").number, 0.25);
+    EXPECT_EQ(at(v, "core", "lat", "count").number, 2.0);
 }
 
 TEST(StatsRegistry, GroupViewNestsPrefixes)
@@ -504,13 +241,13 @@ TEST(Histogram, ToJsonParsesWithPercentiles)
     for (int i = 0; i < 100; ++i)
         h.add(static_cast<std::uint64_t>(i % 10));
     const JsonValue v = parseOrDie(h.toJson());
-    EXPECT_EQ(v.at("count").number, 100.0);
-    EXPECT_TRUE(v.has("mean"));
-    EXPECT_TRUE(v.has("p50"));
-    EXPECT_TRUE(v.has("p95"));
-    EXPECT_TRUE(v.has("p99"));
-    EXPECT_EQ(v.at("overflow").number, 0.0);
-    EXPECT_EQ(v.at("buckets").at("0").number, 10.0);
+    EXPECT_EQ(at(v, "count").number, 100.0);
+    EXPECT_TRUE(has(v, "mean"));
+    EXPECT_TRUE(has(v, "p50"));
+    EXPECT_TRUE(has(v, "p95"));
+    EXPECT_TRUE(has(v, "p99"));
+    EXPECT_EQ(at(v, "overflow").number, 0.0);
+    EXPECT_EQ(at(v, "buckets", "0").number, 10.0);
 }
 
 TEST(Histogram, ToJsonExposesOverflowCount)
@@ -520,7 +257,7 @@ TEST(Histogram, ToJsonExposesOverflowCount)
     h.add(99);
     h.add(100);
     const JsonValue v = parseOrDie(h.toJson());
-    EXPECT_EQ(v.at("overflow").number, 2.0);
+    EXPECT_EQ(at(v, "overflow").number, 2.0);
 }
 
 // ---------------------------------------------------------------------
@@ -601,11 +338,11 @@ TEST(RunManifest, SetRawSplicesStructuredFields)
     m.setRaw("scalar", "{\"replaced\": true}"); // last write wins
 
     const JsonValue v = parseOrDie(m.toJson());
-    const JsonValue &fields = v.at("fields");
-    ASSERT_EQ(fields.at("hotspots").type, JsonValue::kArray);
-    EXPECT_EQ(fields.at("hotspots").array[0].at("lost_slots").number,
+    const JsonValue &fields = at(v, "fields");
+    ASSERT_EQ(at(fields, "hotspots").kind, JsonValue::Kind::kArray);
+    EXPECT_EQ(at(at(fields, "hotspots").array[0], "lost_slots").number,
               3.0);
-    EXPECT_EQ(fields.at("scalar").at("replaced").boolean, true);
+    EXPECT_EQ(at(fields, "scalar", "replaced").boolean, true);
 }
 
 TEST(RunManifest, JsonParsesWithFieldsTimingsAndStats)
@@ -627,17 +364,17 @@ TEST(RunManifest, JsonParsesWithFieldsTimingsAndStats)
     m.setStats(&reg);
 
     const JsonValue v = parseOrDie(m.toJson());
-    EXPECT_EQ(v.at("tool").string, "ndasim");
-    EXPECT_EQ(v.at("bench").string, "unit_test");
-    EXPECT_EQ(v.at("manifest_version").number, 1.0);
-    EXPECT_FALSE(v.at("git").string.empty());
-    EXPECT_EQ(v.at("fields").at("profile").string, "Strict+BR");
-    EXPECT_EQ(v.at("fields").at("seed").number, 42.0);
-    EXPECT_EQ(v.at("fields").at("cpi").number, 1.5);
-    EXPECT_TRUE(v.at("fields").at("blocked").boolean);
-    EXPECT_TRUE(v.at("timings_sec").has("grid"));
-    EXPECT_TRUE(v.at("timings_sec").has("total"));
-    EXPECT_EQ(v.at("stats").at("core").at("commits").number, 123.0);
+    EXPECT_EQ(at(v, "tool").string, "ndasim");
+    EXPECT_EQ(at(v, "bench").string, "unit_test");
+    EXPECT_EQ(at(v, "manifest_version").number, 1.0);
+    EXPECT_FALSE(at(v, "git").string.empty());
+    EXPECT_EQ(at(v, "fields", "profile").string, "Strict+BR");
+    EXPECT_EQ(at(v, "fields", "seed").number, 42.0);
+    EXPECT_EQ(at(v, "fields", "cpi").number, 1.5);
+    EXPECT_TRUE(at(v, "fields", "blocked").boolean);
+    EXPECT_TRUE(has(at(v, "timings_sec"), "grid"));
+    EXPECT_TRUE(has(at(v, "timings_sec"), "total"));
+    EXPECT_EQ(at(v, "stats", "core", "commits").number, 123.0);
 }
 
 TEST(RunManifest, WriteFileRoundTrips)
@@ -735,27 +472,27 @@ TEST(ChromeExport, StrictJsonWithNdaSemantics)
 {
     const TraceExporter exp(syntheticRecords());
     const JsonValue v = parseOrDie(exp.exportChrome());
-    ASSERT_EQ(v.at("traceEvents").type, JsonValue::kArray);
+    ASSERT_EQ(at(v, "traceEvents").kind, JsonValue::Kind::kArray);
 
     std::size_t defer = 0, squash = 0, marks = 0;
     bool process_meta = false;
-    for (const JsonValue &e : v.at("traceEvents").array) {
-        const std::string &name = e.at("name").string;
+    for (const JsonValue &e : at(v, "traceEvents").array) {
+        const std::string &name = at(e, "name").string;
         if (name == "process_name")
             process_meta = true;
         if (name == "nda_defer") {
             ++defer;
-            EXPECT_EQ(e.at("ph").string, "X");
-            EXPECT_EQ(e.at("ts").number, 30.0);  // completed
-            EXPECT_EQ(e.at("dur").number, 8.0);  // broadcast gap
-            EXPECT_EQ(e.at("tid").number, 1.0);  // the unsafe load
+            EXPECT_EQ(at(e, "ph").string, "X");
+            EXPECT_EQ(at(e, "ts").number, 30.0);  // completed
+            EXPECT_EQ(at(e, "dur").number, 8.0);  // broadcast gap
+            EXPECT_EQ(at(e, "tid").number, 1.0);  // the unsafe load
         }
         if (name == "squash") {
             ++squash;
-            EXPECT_EQ(e.at("ph").string, "i");
-            EXPECT_EQ(e.at("args").at("detail").string,
+            EXPECT_EQ(at(e, "ph").string, "i");
+            EXPECT_EQ(at(e, "args", "detail").string,
                       "branch-mispredict");
-            EXPECT_EQ(e.at("tid").number, 3.0);
+            EXPECT_EQ(at(e, "tid").number, 3.0);
         }
         if (name == "unsafe-mark" || name == "unsafe-clear")
             ++marks;
@@ -771,8 +508,8 @@ TEST(ChromeExport, EmptyRecordsStillValid)
     const TraceExporter exp({});
     const JsonValue v = parseOrDie(exp.exportChrome());
     // Only the process-name metadata event remains.
-    ASSERT_EQ(v.at("traceEvents").array.size(), 1u);
-    EXPECT_EQ(v.at("traceEvents").array[0].at("name").string,
+    ASSERT_EQ(at(v, "traceEvents").array.size(), 1u);
+    EXPECT_EQ(at(at(v, "traceEvents").array[0], "name").string,
               "process_name");
 }
 
